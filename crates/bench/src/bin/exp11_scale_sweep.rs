@@ -12,6 +12,9 @@
 //! — CI runs `KKT_SCALE=large KKT_EXP11_N=1024` and `…KKT_EXP11_N=16384`
 //! twice each under a wall-clock budget and asserts the reports are
 //! byte-identical (the determinism-at-scale guard).
+//!
+//! `KKT_THREADS` sets the worker count of the grid runner; the report is
+//! byte-identical for any count.
 
 use kkt_bench::experiments;
 use kkt_bench::Scale;
@@ -19,8 +22,9 @@ use kkt_bench::Scale;
 fn main() {
     let scale = Scale::from_env();
     let seed = kkt_bench::seed_from_env();
+    let threads = kkt_bench::threads_from_env();
     let only_n = std::env::var("KKT_EXP11_N").ok().and_then(|s| s.parse().ok());
-    let (table, report) = experiments::exp11_scale_sweep(scale, seed, only_n);
+    let (table, report) = experiments::exp11_scale_sweep(scale, seed, only_n, threads);
     eprintln!("{table}");
     println!("{}", serde_json::to_string_pretty(&report).expect("report serialises"));
 }

@@ -14,6 +14,9 @@
 //! `KKT_SCALE=large KKT_EXP13_N=256` twice under a wall-clock budget and
 //! asserts the reports are byte-identical (the determinism-at-density
 //! guard; the densest rung of that column is the complete graph `K_256`).
+//!
+//! `KKT_THREADS` sets the worker count of the grid runner; the report is
+//! byte-identical for any count.
 
 use kkt_bench::experiments;
 use kkt_bench::Scale;
@@ -21,8 +24,9 @@ use kkt_bench::Scale;
 fn main() {
     let scale = Scale::from_env();
     let seed = kkt_bench::seed_from_env();
+    let threads = kkt_bench::threads_from_env();
     let only_n = std::env::var("KKT_EXP13_N").ok().and_then(|s| s.parse().ok());
-    let (table, report) = experiments::exp13_dynamic_density(scale, seed, only_n);
+    let (table, report) = experiments::exp13_dynamic_density(scale, seed, only_n, threads);
     eprintln!("{table}");
     println!("{}", serde_json::to_string_pretty(&report).expect("report serialises"));
 }

@@ -14,6 +14,9 @@
 //! asserts the reports are byte-identical (the trace-determinism guard:
 //! attribution is observed through the JSONL/accumulator observers, so a
 //! byte-equal report certifies the observed replay too).
+//!
+//! `KKT_THREADS` sets the worker count of the grid runner; the report is
+//! byte-identical for any count.
 
 use kkt_bench::experiments;
 use kkt_bench::Scale;
@@ -21,8 +24,9 @@ use kkt_bench::Scale;
 fn main() {
     let scale = Scale::from_env();
     let seed = kkt_bench::seed_from_env();
+    let threads = kkt_bench::threads_from_env();
     let only_n = std::env::var("KKT_EXP14_N").ok().and_then(|s| s.parse().ok());
-    let (table, report) = experiments::exp14_cost_anatomy(scale, seed, only_n);
+    let (table, report) = experiments::exp14_cost_anatomy(scale, seed, only_n, threads);
     eprintln!("{table}");
     println!("{}", serde_json::to_string_pretty(&report).expect("report serialises"));
 }

@@ -7,6 +7,9 @@
 //! Scale is controlled by the `KKT_SCALE` environment variable
 //! (`large` for the full sweep, anything else for the quick one) and the
 //! seed by `KKT_SEED`.
+//!
+//! `KKT_THREADS` sets the worker count of the grid runner; the report is
+//! byte-identical for any count.
 
 use kkt_bench::experiments;
 use kkt_bench::Scale;
@@ -14,7 +17,8 @@ use kkt_bench::Scale;
 fn main() {
     let scale = Scale::from_env();
     let seed = kkt_bench::seed_from_env();
-    let (table, report) = experiments::exp9_churn_policies(scale, seed);
+    let threads = kkt_bench::threads_from_env();
+    let (table, report) = experiments::exp9_churn_policies(scale, seed, threads);
     eprintln!("{table}");
     println!("{}", serde_json::to_string_pretty(&report).expect("report serialises"));
 }

@@ -7,25 +7,28 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use serde::{Deserialize, Serialize};
-
 use kkt_baselines::{build_mst_ghs, build_st_by_flooding, flood_repair_delete};
-use kkt_congest::{Network, NetworkConfig};
+use kkt_congest::{Network, NetworkConfig, Phase};
 use kkt_core::{
     build_mst, build_st, delete_edge_mst, delete_edge_st, find_any_c, find_min_traced, hp_test_out,
-    insert_edge_mst, test_out, DeleteOutcome, KktConfig, WeightInterval,
+    insert_edge_mst, test_out, DeleteOutcome, KktConfig, TreeKind, WeightInterval,
 };
 use kkt_graphs::{generators, kruskal, Graph};
 use kkt_workloads::{
-    run_churn_suite, AdversarialTreeCut, AnatomyPoint, ChurnSuiteReport, CostAnatomyReport,
-    Density, DensityPoint, DensitySweepReport, MaintenancePolicy, MixedPhases, MultiEdgeCuts,
-    PhaseAccumulator, PoissonChurn, ReplayConfig, ReplayHarness, ScalePoint, ScaleSweepReport,
-    Scenario, ScenarioComparison, SuiteParams,
+    standard_suite, Density, MaintenancePolicy, MultiEdgeCuts, Scenario, SuiteParams,
 };
 
-use crate::stats::Summary;
+use crate::fleet::{run_replay_fleet, FleetParams, FleetReport, FleetScenario};
+use crate::grid::{run_grid, GridReport, GridSpec};
+use crate::stats::ExactSummary;
 use crate::table::Table;
 use crate::Scale;
+
+/// Mean of an integer sample for table display (0 when empty).
+fn mean(values: &[u64]) -> f64 {
+    let s = ExactSummary::of_u64(values);
+    s.sum as f64 / s.count.max(1) as f64
+}
 
 fn fresh_net(g: Graph, seed: u64) -> Network {
     Network::new(g, NetworkConfig { seed, ..NetworkConfig::default() })
@@ -175,16 +178,14 @@ pub fn exp3_mst_repair(scale: Scale, seed: u64) -> Table {
             let outcome = flood_repair_delete(&mut base, edge.u, edge.v).unwrap();
             flood_deletes.push(outcome.messages);
         }
-        let kd = Summary::of_u64(&kkt_deletes);
-        let fd = Summary::of_u64(&flood_deletes);
-        let ki = Summary::of_u64(&kkt_inserts);
+        let kd = mean(&kkt_deletes);
         table.push_row(vec![
             n.to_string(),
             m.to_string(),
-            format!("{:.0}", kd.mean),
-            format!("{:.0}", fd.mean),
-            format!("{:.0}", ki.mean),
-            format!("{:.1}", kd.mean / n as f64),
+            format!("{kd:.0}"),
+            format!("{:.0}", mean(&flood_deletes)),
+            format!("{:.0}", mean(&kkt_inserts)),
+            format!("{:.1}", kd / n as f64),
         ]);
     }
     table
@@ -216,13 +217,13 @@ pub fn exp4_st_repair(scale: Scale, seed: u64) -> Table {
             costs.push((net.cost() - before).messages);
             kkt_graphs::verify_spanning_forest(net.graph(), &net.marked_forest_snapshot()).unwrap();
         }
-        let s = Summary::of_u64(&costs);
+        let s = mean(&costs);
         table.push_row(vec![
             n.to_string(),
             m.to_string(),
-            format!("{:.0}", s.mean),
-            format!("{:.0}", s.max),
-            format!("{:.2}", s.mean / n as f64),
+            format!("{s:.0}"),
+            ExactSummary::of_u64(&costs).max.to_string(),
+            format!("{:.2}", s / n as f64),
         ]);
     }
     table
@@ -322,8 +323,8 @@ pub fn exp6_find_primitives(scale: Scale, seed: u64) -> Table {
         table.push_row(vec![
             n.to_string(),
             format!("{:.2}", successes as f64 / trials as f64),
-            format!("{:.1}", Summary::of_u64(&iterations).mean),
-            format!("{:.1}", Summary::of_u64(&broadcast_echoes).mean),
+            format!("{:.1}", mean(&iterations)),
+            format!("{:.1}", mean(&broadcast_echoes)),
             format!("{:.1}", lg / lg.log2()),
         ]);
     }
@@ -362,8 +363,8 @@ pub fn exp7_superpoly_weights(scale: Scale, seed: u64) -> Table {
         table.push_row(vec![
             n.to_string(),
             weight_bits.to_string(),
-            format!("{:.1}", Summary::of_u64(&iters).mean),
-            format!("{:.1}", Summary::of_u64(&narrowings).mean),
+            format!("{:.1}", mean(&iters)),
+            format!("{:.1}", mean(&narrowings)),
             format!("{:.1}", total_bits / w.log2()),
         ]);
     }
@@ -435,60 +436,94 @@ pub fn exp8_density_crossover(scale: Scale, seed: u64) -> Table {
     table
 }
 
+/// Keeps the rungs of size `only_n` (every rung for `None`) — the one
+/// restriction guard of the `KKT_EXP*_N` variables. An unmatched restriction
+/// must fail loudly: an empty grid would exit 0 with an empty report, and the
+/// CI byte-compare would green-light two trivially identical files.
+fn restrict<T>(rungs: Vec<T>, only_n: Option<usize>, n_of: impl Fn(&T) -> usize) -> Vec<T> {
+    let sizes: Vec<usize> = rungs.iter().map(&n_of).collect();
+    let kept: Vec<T> = rungs.into_iter().filter(|r| only_n.is_none_or(|n| n == n_of(r))).collect();
+    assert!(!kept.is_empty(), "restriction to n = {only_n:?} matches no rung of {sizes:?}");
+    kept
+}
+
+/// The shared view of a [`GridReport`] as a cost table: one row per cell,
+/// with its bits compared against the `baseline` policy on the same inputs.
+fn cost_table(title: &str, report: &GridReport, baseline: &str) -> Table {
+    let vs = format!("vs_{baseline}(bits)");
+    let mut table = Table::new(
+        title,
+        &[
+            "n",
+            "m",
+            "m/n",
+            "scenario",
+            "policy",
+            "events",
+            "msgs_total",
+            "bits_total",
+            "time_total",
+            "bits/event",
+            "msgs/event",
+            &vs,
+            "checkpoints",
+        ],
+    );
+    for cell in &report.cells {
+        let total = cell.total();
+        let events = cell.events.len().max(1) as f64;
+        let base_bits = report.peer(cell, baseline).map_or(0, |b| b.total().bits).max(1);
+        table.push_row(vec![
+            cell.n.to_string(),
+            cell.m.to_string(),
+            format!("{:.1}", cell.m as f64 / cell.n as f64),
+            cell.scenario.clone(),
+            cell.policy.clone(),
+            cell.events.len().to_string(),
+            total.messages.to_string(),
+            total.bits.to_string(),
+            total.time.to_string(),
+            format!("{:.0}", total.bits as f64 / events),
+            format!("{:.0}", total.messages as f64 / events),
+            format!("{:.3}x", total.bits as f64 / base_bits as f64),
+            cell.checkpoints_verified.to_string(),
+        ]);
+    }
+    table
+}
+
+/// The churn regimes of the scale and density grids: steady Poisson churn
+/// (how often does churn hit the tree?) and the adversary that severs a tree
+/// edge on every deletion (what does a forced repair cost?).
+fn churn_regimes() -> Vec<Box<dyn Scenario>> {
+    FleetScenario::generators(SuiteParams::default().max_weight)
+}
+
 /// E9 — churn policies: the standard scenario battery (Poisson churn,
 /// adversarial tree-cut, partition-and-heal, weight drift, mixed lifecycle)
 /// replayed under impromptu repair vs rebuild-from-scratch policies. The
 /// amortised version of the repair theorems: over a long trace, repairing
 /// beats rebuilding by roughly the ratio of `Õ(n)` to the construction cost.
 ///
-/// Returns the printable table *and* the full sealed JSON report (the
+/// Returns the printable table *and* the sealed report (the
 /// `exp9_churn_policies` binary prints the former to stderr and the latter
 /// to stdout).
-pub fn exp9_churn_policies(scale: Scale, seed: u64) -> (Table, ChurnSuiteReport) {
-    let params = match scale {
-        Scale::Quick => SuiteParams {
-            n: 48,
-            m: 4 * 48,
-            events: 12,
-            verify_every: 4,
-            seed,
-            ..SuiteParams::default()
-        },
-        // The ROADMAP's Scale item: the large tier runs the whole battery at
-        // n = 1024 through the `scale_preset` ladder (incremental-oracle
-        // checkpoints and the index-addressed engine are what make this a
-        // minutes-scale sweep instead of an hours-scale one).
-        Scale::Large => SuiteParams { seed, ..SuiteParams::scale_preset(1024) },
+pub fn exp9_churn_policies(scale: Scale, seed: u64, threads: usize) -> (Table, GridReport) {
+    let rung = match scale {
+        Scale::Quick => SuiteParams { events: 12, ..SuiteParams::default() },
+        // The large tier runs the whole battery at n = 1024 through the
+        // `scale_preset` ladder.
+        Scale::Large => SuiteParams::scale_preset(1024),
     };
-    let report = run_churn_suite(&params).expect("churn suite replays and verifies");
-    let mut table = Table::new(
-        "E9: churn policies — impromptu repair vs rebuild, total cost over the whole trace",
-        &[
-            "scenario",
-            "policy",
-            "events",
-            "msgs_total",
-            "bits_total",
-            "msgs/event",
-            "msgs/event(max)",
-            "checkpoints",
-        ],
-    );
-    for scenario in &report.scenarios {
-        for r in &scenario.reports {
-            table.push_row(vec![
-                scenario.scenario.clone(),
-                r.policy.clone(),
-                r.top_level_events.to_string(),
-                r.total.messages.to_string(),
-                r.total.bits.to_string(),
-                format!("{:.0}", r.mean_messages_per_event),
-                r.max_messages_per_event.to_string(),
-                r.checkpoints_verified.to_string(),
-            ]);
-        }
-    }
-    (table, report)
+    let spec = GridSpec {
+        rungs: vec![rung],
+        scenarios: standard_suite(rung.max_weight),
+        policies: MaintenancePolicy::all_for(rung.kind),
+        seeds: vec![seed],
+    };
+    let report = run_grid(&spec, threads);
+    let title = "E9: churn policies — impromptu repair vs rebuild, total cost over the whole trace";
+    (cost_table(title, &report, "rebuild_kkt"), report)
 }
 
 /// E10 — batched repair: `multi_edge_cuts` bursts severing `k` independent
@@ -498,640 +533,147 @@ pub fn exp9_churn_policies(scale: Scale, seed: u64) -> (Table, ChurnSuiteReport)
 /// lose to one rebuild on bursts, so batching is where o(m) maintenance
 /// either wins or dies under churn.
 ///
-/// Returns the printable table *and* the sealed deterministic JSON report
-/// (the `exp10_batched_repair` binary prints the former to stderr and the
-/// latter to stdout; CI asserts the JSON is byte-identical across runs).
-pub fn exp10_batched_repair(scale: Scale, seed: u64) -> (Table, ChurnSuiteReport) {
+/// Returns the printable table *and* the sealed report (CI asserts the JSON
+/// is byte-identical across runs and thread counts).
+pub fn exp10_batched_repair(scale: Scale, seed: u64, threads: usize) -> (Table, GridReport) {
     let (n, m, events, burst_sizes): (usize, usize, usize, Vec<usize>) = match scale {
         Scale::Quick => (48, 4 * 48, 6, vec![1, 2, 4, 8]),
         Scale::Large => (128, 8 * 128, 10, vec![1, 2, 4, 8, 16]),
     };
-    let params = SuiteParams { n, m, events, seed, verify_every: 2, ..SuiteParams::default() };
-    let base = params.base_graph();
-    let harness = ReplayHarness::new(ReplayConfig {
-        kind: params.kind,
-        scheduler: params.scheduler,
-        verify_every: params.verify_every,
-        seed,
-        ..ReplayConfig::default()
-    });
-    let policies = [
-        MaintenancePolicy::Impromptu,
-        MaintenancePolicy::BatchedRepair,
-        MaintenancePolicy::RebuildKkt,
-    ];
-    let mut scenarios = Vec::new();
-    for &k in &burst_sizes {
-        let scenario = MultiEdgeCuts { burst_size: k, max_weight: params.max_weight };
-        let workload = scenario.generate(&base, events, seed);
-        let stats = workload.validate(&base).expect("generated trace is applicable");
-        let mut reports = Vec::new();
-        for policy in policies {
-            reports.push(
-                harness
-                    .replay(&base, &workload, policy)
-                    .expect("every checkpoint verifies against the Kruskal oracle"),
-            );
-        }
-        scenarios.push(ScenarioComparison {
-            scenario: workload.scenario.clone(),
-            workload_fingerprint: workload.fingerprint(),
-            stats,
-            reports,
-        });
-    }
-    let mut report = ChurnSuiteReport {
-        n: base.node_count(),
-        m: base.edge_count(),
-        events_per_scenario: events,
-        m_over_n: kkt_workloads::report::m_over_n(&base),
-        seed,
-        tree_kind: "mst".to_string(),
-        scheduler: kkt_workloads::report::scheduler_label(params.scheduler),
-        scenarios,
-        fingerprint: String::new(),
-    };
-    report.seal();
-
-    let mut table = Table::new(
-        "E10: batched repair — sequential vs batched vs rebuild on k simultaneous cuts",
-        &[
-            "k",
-            "policy",
-            "events",
-            "msgs_total",
-            "bits_total",
-            "time_total",
-            "vs_seq(bits)",
-            "checkpoints",
+    let rung = SuiteParams { n, m, events, verify_every: 2, ..SuiteParams::default() };
+    let spec = GridSpec {
+        rungs: vec![rung],
+        scenarios: burst_sizes
+            .into_iter()
+            .map(|k| {
+                Box::new(MultiEdgeCuts { burst_size: k, max_weight: rung.max_weight })
+                    as Box<dyn Scenario>
+            })
+            .collect(),
+        policies: vec![
+            MaintenancePolicy::Impromptu,
+            MaintenancePolicy::BatchedRepair,
+            MaintenancePolicy::RebuildKkt,
         ],
-    );
-    for (scenario, &k) in report.scenarios.iter().zip(&burst_sizes) {
-        let sequential_bits =
-            scenario.report_for("impromptu_repair").map(|r| r.total.bits).unwrap_or(0).max(1);
-        for r in &scenario.reports {
-            table.push_row(vec![
-                k.to_string(),
-                r.policy.clone(),
-                r.top_level_events.to_string(),
-                r.total.messages.to_string(),
-                r.total.bits.to_string(),
-                r.total.time.to_string(),
-                format!("{:.2}x", r.total.bits as f64 / sequential_bits as f64),
-                r.checkpoints_verified.to_string(),
-            ]);
-        }
-    }
-    (table, report)
+        seeds: vec![seed],
+    };
+    let report = run_grid(&spec, threads);
+    let title = "E10: batched repair — sequential vs batched vs rebuild on k simultaneous cuts";
+    (cost_table(title, &report, "impromptu_repair"), report)
 }
 
-/// E11 — the scale sweep: one Poisson-churn scenario instantiated at a
-/// ladder of network sizes (the `SuiteParams::scale_preset` rungs), replayed
-/// under all four MST policies, pricing **bits per event vs n**. This is the
-/// regime where the paper's asymptotics either show up or don't: at n ≤ 200
-/// constant factors drown the `O(n log²n / log log n)`-vs-`Θ(m)` separation,
-/// at n ≥ 1024 the per-event repair bill has to grow visibly slower than the
-/// rebuild baselines'.
+/// E11 — the scale sweep: Poisson churn and adversarial tree cuts
+/// instantiated at a ladder of network sizes (the `SuiteParams::scale_preset`
+/// rungs), replayed under all four MST policies, pricing **bits per event
+/// vs n**. This is the regime where the paper's asymptotics either show up
+/// or don't: at n ≤ 200 constant factors drown the
+/// `O(n log²n / log log n)`-vs-`Θ(m)` separation, at n ≥ 1024 the per-event
+/// repair bill has to grow visibly slower than the rebuild baselines'.
 ///
 /// `only_n` restricts the sweep to a single rung (the `KKT_EXP11_N`
-/// environment variable in the binary) — CI uses it to run the n = 1024
-/// scenario twice inside a wall-clock budget and assert byte-identical
-/// reports.
-///
-/// Returns the printable table *and* the sealed deterministic JSON report.
+/// environment variable in the binary) — CI uses it to run the large rungs
+/// twice inside a wall-clock budget and assert byte-identical reports.
 pub fn exp11_scale_sweep(
     scale: Scale,
     seed: u64,
     only_n: Option<usize>,
-) -> (Table, ScaleSweepReport) {
-    let sizes: Vec<usize> = scale
-        .scale_sweep_sizes()
-        .into_iter()
-        .filter(|&n| only_n.is_none_or(|only| only == n))
-        .collect();
-    // An unmatched restriction must fail loudly: an empty sweep would exit 0
-    // with an empty report, and the CI determinism guard would green-light
-    // while comparing two trivially identical files.
-    assert!(
-        !sizes.is_empty(),
-        "KKT_EXP11_N={:?} matches no rung of the {:?} ladder {:?}",
-        only_n,
-        scale,
-        scale.scale_sweep_sizes()
-    );
-    let policies = MaintenancePolicy::all_for(kkt_core::TreeKind::Mst);
-    let mut points = Vec::new();
-    let mut scheduler = String::new();
-    for n in sizes {
-        let params = SuiteParams { seed, ..SuiteParams::scale_preset(n) };
-        let base = params.base_graph();
-        let harness = ReplayHarness::new(ReplayConfig {
-            kind: params.kind,
-            scheduler: params.scheduler,
-            verify_every: params.verify_every,
-            seed,
-            ..ReplayConfig::default()
-        });
-        scheduler = kkt_workloads::report::scheduler_label(params.scheduler);
-        // Two regimes per rung: steady-state background churn, and the
-        // adversary that severs a current tree edge on every deletion —
-        // the latter forces a real FindMin repair per event, which is what
-        // the repair-vs-rebuild scaling exponents are measured on.
-        let scenarios: Vec<Box<dyn Scenario>> = vec![
-            Box::new(PoissonChurn { delete_fraction: 0.5, max_weight: params.max_weight }),
-            Box::new(AdversarialTreeCut { max_weight: params.max_weight }),
-        ];
-        for scenario in scenarios {
-            let workload = scenario.generate(&base, params.events, seed);
-            let stats = workload.validate(&base).expect("generated trace is applicable");
-            let mut reports = Vec::new();
-            for &policy in &policies {
-                reports.push(
-                    harness
-                        .replay(&base, &workload, policy)
-                        .expect("every checkpoint verifies against the shadow oracle"),
-                );
-            }
-            points.push(ScalePoint {
-                n: base.node_count(),
-                m: base.edge_count(),
-                events: workload.len(),
-                verify_every: params.verify_every,
-                scenario: workload.scenario.clone(),
-                workload_fingerprint: workload.fingerprint(),
-                stats,
-                reports,
-            });
-        }
-    }
-    let mut report = ScaleSweepReport {
-        seed,
-        tree_kind: "mst".to_string(),
-        scheduler,
-        points,
-        fingerprint: String::new(),
+    threads: usize,
+) -> (Table, GridReport) {
+    let spec = GridSpec {
+        rungs: restrict(scale.scale_sweep_sizes(), only_n, |&n| n)
+            .into_iter()
+            .map(SuiteParams::scale_preset)
+            .collect(),
+        scenarios: churn_regimes(),
+        policies: MaintenancePolicy::all_for(TreeKind::Mst),
+        seeds: vec![seed],
     };
-    report.seal();
+    let report = run_grid(&spec, threads);
+    let title = "E11: scale sweep — bits per event vs n, repair policies vs rebuild baselines";
+    (cost_table(title, &report, "rebuild_kkt"), report)
+}
 
-    let mut table = Table::new(
-        "E11: scale sweep — bits per event vs n, repair policies vs rebuild baselines",
-        &[
-            "n",
-            "m",
-            "scenario",
-            "policy",
-            "events",
-            "bits_total",
-            "bits/event",
-            "msgs/event",
-            "vs_rebuild(bits)",
-            "checkpoints",
-        ],
-    );
-    for point in &report.points {
-        let rebuild_bits =
-            point.report_for("rebuild_kkt").map(|r| r.total.bits).unwrap_or(0).max(1);
-        for r in &point.reports {
-            let events = r.top_level_events.max(1) as f64;
-            table.push_row(vec![
-                point.n.to_string(),
-                point.m.to_string(),
-                point.scenario.clone(),
-                r.policy.clone(),
-                r.top_level_events.to_string(),
-                r.total.bits.to_string(),
-                format!("{:.0}", r.total.bits as f64 / events),
-                format!("{:.0}", r.total.messages as f64 / events),
-                format!("{:.3}x", r.total.bits as f64 / rebuild_bits as f64),
-                r.checkpoints_verified.to_string(),
-            ]);
-        }
+/// The E13/E14 grid: both churn regimes under every MST policy at every
+/// rung of the `m/n ∈ {2, 4, 8, 16, n/8, n/2}` ladder ([`Density::LADDER`])
+/// for each grid size `n`, optionally restricted to one size.
+fn density_grid(scale: Scale, seed: u64, only_n: Option<usize>) -> GridSpec {
+    GridSpec {
+        rungs: restrict(scale.density_grid_sizes(), only_n, |&n| n)
+            .into_iter()
+            .flat_map(|n| Density::LADDER.map(|d| SuiteParams::density_preset(n, d)))
+            .collect(),
+        scenarios: churn_regimes(),
+        policies: MaintenancePolicy::all_for(TreeKind::Mst),
+        seeds: vec![seed],
     }
-    (table, report)
-}
-
-/// One policy's timing at one rung of the E12 wall-clock sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WallclockPolicy {
-    /// Policy label (`impromptu_repair`, `batched_repair`, …).
-    pub policy: String,
-    /// End-to-end wall-clock seconds of the replay (build + events +
-    /// checkpoints), as measured on the machine that ran the binary.
-    pub seconds: f64,
-    /// Total message bits of the replay — the cost-model invariant: this
-    /// column must not move when the data plane gets faster.
-    pub bits: u64,
-    /// Total messages of the replay (same invariance contract as `bits`).
-    pub messages: u64,
-    /// Oracle checkpoints verified during the replay.
-    pub checkpoints: usize,
-}
-
-/// One rung (network size) of the E12 wall-clock sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WallclockRung {
-    /// Nodes.
-    pub n: usize,
-    /// Live edges of the base graph.
-    pub m: usize,
-    /// Top-level events of the trace.
-    pub events: usize,
-    /// Scenario id of the replayed trace.
-    pub scenario: String,
-    /// Per-policy timings.
-    pub policies: Vec<WallclockPolicy>,
-}
-
-/// The sealed output of [`exp12_wallclock`] (`BENCH_*.json` family).
-///
-/// Unlike the exp9–exp11 reports this one is **not** fingerprinted: the
-/// `seconds` fields are machine- and run-dependent by nature. The `bits` /
-/// `messages` columns are the determinism anchor instead — they must match
-/// the cost-model reports exactly, which is what ties a wall-clock number to
-/// a specific, verified replay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WallclockReport {
-    /// Report schema version (`BENCH_PR4.json` documents the fields).
-    pub schema: u32,
-    /// Master seed of the traces and protocol coins.
-    pub seed: u64,
-    /// `quick` or `large`.
-    pub scale: String,
-    /// Per-rung timings.
-    pub rungs: Vec<WallclockRung>,
-}
-
-/// E12 — wall-clock of the data plane: the mixed-lifecycle churn trace (the
-/// `mixed_lifecycle` battery member that exercises deletions, insertions,
-/// partitions, healing and weight drift in one trace) replayed under every
-/// MST policy at the `scale_preset` ladder, timed end-to-end. The cost-model
-/// columns (bits/messages) must be byte-for-byte what exp9/exp11 would
-/// record; only `seconds` is allowed to change across machines or PRs — a
-/// pure data-plane optimization shows up here and *only* here.
-pub fn exp12_wallclock(scale: Scale, seed: u64, only_n: Option<usize>) -> (Table, WallclockReport) {
-    let sizes: Vec<usize> = scale
-        .scale_sweep_sizes()
-        .into_iter()
-        .filter(|&n| only_n.is_none_or(|only| only == n))
-        .collect();
-    assert!(
-        !sizes.is_empty(),
-        "KKT_EXP12_N={:?} matches no rung of the {:?} ladder {:?}",
-        only_n,
-        scale,
-        scale.scale_sweep_sizes()
-    );
-    let policies = MaintenancePolicy::all_for(kkt_core::TreeKind::Mst);
-    let mut rungs = Vec::new();
-    for n in sizes {
-        let params = SuiteParams { seed, ..SuiteParams::scale_preset(n) };
-        let base = params.base_graph();
-        let harness = ReplayHarness::new(ReplayConfig {
-            kind: params.kind,
-            scheduler: params.scheduler,
-            verify_every: params.verify_every,
-            seed,
-            ..ReplayConfig::default()
-        });
-        let scenario = MixedPhases::standard(params.max_weight);
-        let workload = scenario.generate(&base, params.events, seed);
-        let mut timed = Vec::new();
-        for &policy in &policies {
-            // Clock read allowed (clippy.toml/R2): exp12 *is* the wall-clock
-            // experiment; its seconds column is never fingerprinted.
-            #[allow(clippy::disallowed_methods)]
-            let start = std::time::Instant::now();
-            let report = harness
-                .replay(&base, &workload, policy)
-                .expect("every checkpoint verifies against the shadow oracle");
-            let seconds = start.elapsed().as_secs_f64();
-            timed.push(WallclockPolicy {
-                policy: report.policy.clone(),
-                seconds,
-                bits: report.total.bits,
-                messages: report.total.messages,
-                checkpoints: report.checkpoints_verified,
-            });
-        }
-        rungs.push(WallclockRung {
-            n: base.node_count(),
-            m: base.edge_count(),
-            events: workload.len(),
-            scenario: workload.scenario.clone(),
-            policies: timed,
-        });
-    }
-    let report = WallclockReport {
-        schema: 1,
-        seed,
-        scale: match scale {
-            Scale::Quick => "quick".to_string(),
-            Scale::Large => "large".to_string(),
-        },
-        rungs,
-    };
-
-    let mut table = Table::new(
-        "E12: wall-clock of the data plane — mixed-lifecycle replay, seconds per policy",
-        &["n", "m", "scenario", "policy", "events", "seconds", "bits_total", "checkpoints"],
-    );
-    for rung in &report.rungs {
-        for p in &rung.policies {
-            table.push_row(vec![
-                rung.n.to_string(),
-                rung.m.to_string(),
-                rung.scenario.clone(),
-                p.policy.clone(),
-                rung.events.to_string(),
-                format!("{:.3}", p.seconds),
-                p.bits.to_string(),
-                p.checkpoints.to_string(),
-            ]);
-        }
-    }
-    (table, report)
 }
 
 /// E13 — the dynamic density sweep: where does rebuild-from-scratch stop
 /// being competitive *under churn*? E8 located the static construction
-/// crossover (messages vs `m` for one build); E13 asks the maintained
-/// question the ROADMAP's density item names: a Poisson-churn trace and an
-/// adversarial tree-cut trace replayed under all four MST maintenance
-/// policies at every rung of the `m/n ∈ {2, 4, 8, 16, n/8, n/2}` ladder
-/// ([`Density::LADDER`]), for each grid size `n`. Repair policies price
-/// `Õ(n)` per event independent of density; `rebuild_ghs` is `O(m + n log
-/// n)` per event, so its bits grow linearly along the ladder — the per-
-/// family crossover (tabulated in `EXPERIMENTS.md` §E13) is where those
-/// curves cross.
+/// crossover (messages vs `m` for one build); E13 replays churn across the
+/// whole `n × m/n` grid. Repair policies price `Õ(n)` per event independent
+/// of density; `rebuild_ghs` is `O(m + n log n)` per event, so its bits grow
+/// linearly along the ladder — the per-family crossover (tabulated in
+/// `EXPERIMENTS.md` §E13) is where those curves cross.
 ///
 /// `only_n` restricts the sweep to one grid size (the `KKT_EXP13_N`
 /// environment variable in the binary) — CI runs the n = 256 column (whose
 /// densest rung is the complete graph `K_256`) twice inside a wall-clock
 /// budget and asserts byte-identical reports.
-///
-/// Returns the printable table *and* the sealed deterministic JSON report.
 pub fn exp13_dynamic_density(
     scale: Scale,
     seed: u64,
     only_n: Option<usize>,
-) -> (Table, DensitySweepReport) {
-    let sizes: Vec<usize> = scale
-        .density_grid_sizes()
-        .into_iter()
-        .filter(|&n| only_n.is_none_or(|only| only == n))
-        .collect();
-    // An unmatched restriction must fail loudly, not emit an empty report
-    // the CI byte-compare would green-light (same guard as exp11/exp12).
-    assert!(
-        !sizes.is_empty(),
-        "KKT_EXP13_N={:?} matches no rung of the {:?} grid {:?}",
-        only_n,
-        scale,
-        scale.density_grid_sizes()
-    );
-    let policies = MaintenancePolicy::all_for(kkt_core::TreeKind::Mst);
-    let mut points = Vec::new();
-    let mut scheduler = String::new();
-    for n in sizes {
-        for &density in &Density::LADDER {
-            let params = SuiteParams { seed, ..SuiteParams::density_preset(n, density) };
-            let base = params.base_graph();
-            let harness = ReplayHarness::new(ReplayConfig {
-                kind: params.kind,
-                scheduler: params.scheduler,
-                verify_every: params.verify_every,
-                seed,
-                ..ReplayConfig::default()
-            });
-            scheduler = kkt_workloads::report::scheduler_label(params.scheduler);
-            // The same two regimes as the scale sweep: steady background
-            // churn (how often does churn hit the tree at this density?) and
-            // the adversary that severs a tree edge every deletion (what
-            // does a forced repair cost at this density?).
-            let scenarios: Vec<Box<dyn Scenario>> = vec![
-                Box::new(PoissonChurn { delete_fraction: 0.5, max_weight: params.max_weight }),
-                Box::new(AdversarialTreeCut { max_weight: params.max_weight }),
-            ];
-            for scenario in scenarios {
-                let workload = scenario.generate(&base, params.events, seed);
-                let stats = workload.validate(&base).expect("generated trace is applicable");
-                let mut reports = Vec::new();
-                for &policy in &policies {
-                    reports.push(
-                        harness
-                            .replay(&base, &workload, policy)
-                            .expect("every checkpoint verifies against the shadow oracle"),
-                    );
-                }
-                points.push(DensityPoint {
-                    n: base.node_count(),
-                    m: base.edge_count(),
-                    density: density.label(),
-                    m_over_n: kkt_workloads::report::m_over_n(&base),
-                    events: workload.len(),
-                    verify_every: params.verify_every,
-                    scenario: workload.scenario.clone(),
-                    workload_fingerprint: workload.fingerprint(),
-                    stats,
-                    reports,
-                });
-            }
-        }
-    }
-    let mut report = DensitySweepReport {
-        seed,
-        tree_kind: "mst".to_string(),
-        scheduler,
-        points,
-        fingerprint: String::new(),
-    };
-    report.seal();
-
-    let mut table = Table::new(
-        "E13: dynamic density sweep — bits per event vs m/n, repair vs rebuild under churn",
-        &[
-            "n",
-            "m",
-            "m/n",
-            "scenario",
-            "policy",
-            "events",
-            "bits_total",
-            "bits/event",
-            "vs_rebuild(bits)",
-            "checkpoints",
-        ],
-    );
-    for point in &report.points {
-        let rebuild_bits =
-            point.report_for("rebuild_kkt").map(|r| r.total.bits).unwrap_or(0).max(1);
-        for r in &point.reports {
-            let events = r.top_level_events.max(1) as f64;
-            table.push_row(vec![
-                point.n.to_string(),
-                point.m.to_string(),
-                point.density.clone(),
-                point.scenario.clone(),
-                r.policy.clone(),
-                r.top_level_events.to_string(),
-                r.total.bits.to_string(),
-                format!("{:.0}", r.total.bits as f64 / events),
-                format!("{:.3}x", r.total.bits as f64 / rebuild_bits as f64),
-                r.checkpoints_verified.to_string(),
-            ]);
-        }
-    }
-    (table, report)
+    threads: usize,
+) -> (Table, GridReport) {
+    let report = run_grid(&density_grid(scale, seed, only_n), threads);
+    let title = "E13: dynamic density sweep — bits per event vs m/n, repair vs rebuild under churn";
+    (cost_table(title, &report, "rebuild_kkt"), report)
 }
 
-/// E14 — the cost anatomy: *where do the bits go?* Every `(n, density)` cell
-/// of the E13 grid is replayed under every MST policy with the
-/// phase-attributing observer installed, decomposing each policy's
-/// bits-per-event into the paper's phases (delivery, broadcast-echo, leader
-/// election, `FindMin` narrowing, `FindAny` sampling, announce, rebuild
-/// sweep). The decomposition *conserves* — phase sums are asserted equal to
-/// the untraced totals bit-for-bit, so E14's rows reconcile exactly against
-/// E13's — and makes the asymptotics legible: repair policies should be
+/// E14 — the cost anatomy: *where do the bits go?* The E13 grid viewed
+/// through each cell's phase ledger, decomposing every policy's bits per
+/// event into the paper's phases (delivery, broadcast-echo, leader election,
+/// `FindMin` narrowing, `FindAny` sampling, announce, rebuild sweep). The
+/// runner asserts each ledger conserves against the replay's totals, so
+/// E14's rows reconcile exactly with E13's. Repair policies should be
 /// dominated by `FindMin`/`FindAny` searches with a density-independent
 /// announce tail, while the rebuild baselines concentrate in the rebuild
 /// sweep whose bits track `m`.
 ///
 /// `only_n` restricts the sweep to one grid size (the `KKT_EXP14_N`
-/// environment variable in the binary) — CI runs the n = 256 column twice
-/// inside a wall-clock budget and asserts byte-identical reports.
-///
-/// Returns the printable table *and* the sealed deterministic JSON report.
+/// environment variable in the binary).
 pub fn exp14_cost_anatomy(
     scale: Scale,
     seed: u64,
     only_n: Option<usize>,
-) -> (Table, CostAnatomyReport) {
-    let sizes: Vec<usize> = scale
-        .density_grid_sizes()
-        .into_iter()
-        .filter(|&n| only_n.is_none_or(|only| only == n))
-        .collect();
-    // An unmatched restriction must fail loudly, not emit an empty report
-    // the CI byte-compare would green-light (same guard as exp11/exp13).
-    assert!(
-        !sizes.is_empty(),
-        "KKT_EXP14_N={:?} matches no rung of the {:?} grid {:?}",
-        only_n,
-        scale,
-        scale.density_grid_sizes()
-    );
-    let policies = MaintenancePolicy::all_for(kkt_core::TreeKind::Mst);
-    let mut points = Vec::new();
-    let mut scheduler = String::new();
-    for n in sizes {
-        for &density in &Density::LADDER {
-            let params = SuiteParams { seed, ..SuiteParams::density_preset(n, density) };
-            let base = params.base_graph();
-            let harness = ReplayHarness::new(ReplayConfig {
-                kind: params.kind,
-                scheduler: params.scheduler,
-                verify_every: params.verify_every,
-                seed,
-                ..ReplayConfig::default()
-            });
-            scheduler = kkt_workloads::report::scheduler_label(params.scheduler);
-            // The same two regimes as E13, so the anatomy decomposes exactly
-            // the totals that sweep prices.
-            let scenarios: Vec<Box<dyn Scenario>> = vec![
-                Box::new(PoissonChurn { delete_fraction: 0.5, max_weight: params.max_weight }),
-                Box::new(AdversarialTreeCut { max_weight: params.max_weight }),
-            ];
-            for scenario in scenarios {
-                let workload = scenario.generate(&base, params.events, seed);
-                for &policy in &policies {
-                    let mut acc = PhaseAccumulator::new();
-                    let report = harness
-                        .replay_observed(&base, &workload, policy, &mut acc)
-                        .expect("every checkpoint verifies against the shadow oracle");
-                    let phases = acc.ledger;
-                    let total = phases.total();
-                    // The tracing layer's contract, re-checked at the report
-                    // boundary: attribution never loses (or invents) a bit.
-                    assert!(
-                        total.messages == report.total.messages
-                            && total.bits == report.total.bits
-                            && total.time == report.total.time
-                            && total.broadcast_echoes == report.total.broadcast_echoes,
-                        "phase ledger does not conserve for {} at n={n}: {total:?} vs {:?}",
-                        policy.label(),
-                        report.total,
-                    );
-                    let dominant_phase = phases
-                        .entries()
-                        .max_by_key(|&(phase, cost)| (cost.bits, std::cmp::Reverse(phase)))
-                        .map(|(phase, _)| phase.label().to_string())
-                        .expect("ledger has a fixed set of phases");
-                    points.push(AnatomyPoint {
-                        n: base.node_count(),
-                        m: base.edge_count(),
-                        density: density.label(),
-                        m_over_n: kkt_workloads::report::m_over_n(&base),
-                        scenario: workload.scenario.clone(),
-                        policy: policy.label().to_string(),
-                        events: workload.len(),
-                        checkpoints_verified: report.checkpoints_verified,
-                        workload_fingerprint: workload.fingerprint(),
-                        phases,
-                        total,
-                        dominant_phase,
-                    });
-                }
-            }
-        }
-    }
-    let mut report = CostAnatomyReport {
-        seed,
-        tree_kind: "mst".to_string(),
-        scheduler,
-        points,
-        fingerprint: String::new(),
-    };
-    report.seal();
-
+    threads: usize,
+) -> (Table, GridReport) {
+    let report = run_grid(&density_grid(scale, seed, only_n), threads);
+    let shares: Vec<String> = Phase::ALL.iter().map(|p| format!("{}%", p.label())).collect();
+    let mut header = vec!["n", "m/n", "scenario", "policy", "bits/event"];
+    header.extend(shares.iter().map(String::as_str));
+    header.push("dominant");
     let mut table = Table::new(
         "E14: cost anatomy — bits per event by phase, every policy across the density grid",
-        &[
-            "n",
-            "m/n",
-            "scenario",
-            "policy",
-            "bits/event",
-            "delivery%",
-            "becho%",
-            "elect%",
-            "findmin%",
-            "findany%",
-            "announce%",
-            "rebuild%",
-            "dominant",
-        ],
+        &header,
     );
-    for point in &report.points {
-        let events = point.events.max(1) as f64;
-        let total_bits = point.total.bits.max(1) as f64;
-        let share = |phase: kkt_congest::Phase| {
-            format!("{:.1}", 100.0 * point.phases.get(phase).bits as f64 / total_bits)
-        };
-        table.push_row(vec![
-            point.n.to_string(),
-            point.density.clone(),
-            point.scenario.clone(),
-            point.policy.clone(),
-            format!("{:.0}", point.total.bits as f64 / events),
-            share(kkt_congest::Phase::Delivery),
-            share(kkt_congest::Phase::BroadcastEcho),
-            share(kkt_congest::Phase::LeaderElection),
-            share(kkt_congest::Phase::FindMinNarrow),
-            share(kkt_congest::Phase::FindAnySample),
-            share(kkt_congest::Phase::Announce),
-            share(kkt_congest::Phase::RebuildSweep),
-            point.dominant_phase.clone(),
-        ]);
+    for cell in &report.cells {
+        let total_bits = cell.total().bits;
+        let mut row = vec![
+            cell.n.to_string(),
+            format!("{:.1}", cell.m as f64 / cell.n as f64),
+            cell.scenario.clone(),
+            cell.policy.clone(),
+            format!("{:.0}", total_bits as f64 / cell.events.len().max(1) as f64),
+        ];
+        row.extend(cell.phases.entries().map(|(_, cost)| {
+            format!("{:.1}", 100.0 * cost.bits as f64 / total_bits.max(1) as f64)
+        }));
+        // The phase with the most bits; ties break toward ledger order.
+        let dominant = cell.phases.entries().max_by_key(|&(p, c)| (c.bits, std::cmp::Reverse(p)));
+        row.push(dominant.map_or_else(String::new, |(p, _)| p.label().to_string()));
+        table.push_row(row);
     }
     (table, report)
 }
@@ -1158,19 +700,13 @@ pub fn exp16_seed_fleet(
     seed: u64,
     only_n: Option<usize>,
     threads: usize,
-) -> (Table, crate::fleet::FleetReport) {
-    let params = match scale {
-        Scale::Quick => crate::fleet::FleetParams::quick(seed),
-        Scale::Large => crate::fleet::FleetParams::large(seed),
-    }
-    .restrict_to(only_n);
-    // An unmatched restriction must fail loudly, not emit an empty report
-    // the CI byte-compare would green-light (same guard as exp11–exp14).
-    assert!(
-        !params.rungs.is_empty(),
-        "KKT_EXP16_N={only_n:?} matches no rung of the {scale:?} fleet grid"
-    );
-    let report = crate::fleet::run_replay_fleet(&params, threads);
+) -> (Table, FleetReport) {
+    let mut params = match scale {
+        Scale::Quick => FleetParams::quick(seed),
+        Scale::Large => FleetParams::large(seed),
+    };
+    params.rungs = restrict(params.rungs, only_n, |r| r.n);
+    let report = run_replay_fleet(&params, threads);
 
     let mut table = Table::new(
         "E16: seed fleet — per-event distributions across ≥ 32 seeds, mean±CI95 and tail SLOs",
@@ -1211,6 +747,7 @@ pub fn exp16_seed_fleet(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kkt_workloads::AdversarialTreeCut;
 
     #[test]
     fn clustered_complete_is_complete() {
@@ -1231,48 +768,48 @@ mod tests {
 
     #[test]
     fn exp9_repair_beats_rebuild_on_poisson_churn() {
-        let (table, report) = exp9_churn_policies(Scale::Quick, 7);
+        let (table, report) = exp9_churn_policies(Scale::Quick, 7, 2);
         // 5 scenarios × 4 MST policies (sequential, batched, KKT/GHS rebuild).
         assert_eq!(table.len(), 20);
-        let poisson = report
-            .scenarios
+        assert_eq!(report.cells.len(), 20);
+        let repair = report
+            .cells
             .iter()
-            .find(|s| s.scenario.starts_with("poisson_churn"))
+            .find(|c| c.scenario.starts_with("poisson_churn") && c.policy == "impromptu_repair")
             .expect("the battery includes Poisson churn");
-        let repair = poisson.report_for("impromptu_repair").unwrap();
-        let rebuild = poisson.report_for("rebuild_kkt").unwrap();
+        let rebuild = report.peer(repair, "rebuild_kkt").unwrap();
         assert!(
-            repair.total.bits < rebuild.total.bits,
+            repair.total().bits < rebuild.total().bits,
             "impromptu repair ({} bits) must beat rebuild ({} bits)",
-            repair.total.bits,
-            rebuild.total.bits
+            repair.total().bits,
+            rebuild.total().bits
         );
+        assert_eq!(report.seeds, [7]);
         assert!(!report.fingerprint.is_empty());
     }
 
     #[test]
     fn exp10_batched_repair_beats_sequential_on_large_bursts() {
-        let (table, report) = exp10_batched_repair(Scale::Quick, 0xFEED);
+        let (table, report) = exp10_batched_repair(Scale::Quick, 0xFEED, 2);
         // 4 burst sizes × 3 policies.
         assert_eq!(table.len(), 12);
         assert!(!report.fingerprint.is_empty());
-        for scenario in &report.scenarios {
-            let k: usize = scenario
+        for sequential in report.cells.iter().filter(|c| c.policy == "impromptu_repair") {
+            let k: usize = sequential
                 .scenario
                 .trim_start_matches("multi_edge_cuts(k=")
                 .trim_end_matches(')')
                 .parse()
                 .unwrap();
-            let sequential = scenario.report_for("impromptu_repair").unwrap();
-            let batched = scenario.report_for("batched_repair").unwrap();
+            let batched = report.peer(sequential, "batched_repair").unwrap();
             assert!(sequential.checkpoints_verified > 0);
             assert!(batched.checkpoints_verified > 0);
             if k >= 4 {
                 assert!(
-                    batched.total.bits < sequential.total.bits,
+                    batched.total().bits < sequential.total().bits,
                     "k={k}: batched {} bits must beat sequential {}",
-                    batched.total.bits,
-                    sequential.total.bits
+                    batched.total().bits,
+                    sequential.total().bits
                 );
             }
         }
@@ -1280,8 +817,8 @@ mod tests {
 
     #[test]
     fn exp10_report_is_deterministic() {
-        let a = exp10_batched_repair(Scale::Quick, 42).1;
-        let b = exp10_batched_repair(Scale::Quick, 42).1;
+        let a = exp10_batched_repair(Scale::Quick, 42, 1).1;
+        let b = exp10_batched_repair(Scale::Quick, 42, 8).1;
         assert_eq!(a, b);
         assert_eq!(
             serde_json::to_string(&a).unwrap(),
@@ -1292,77 +829,57 @@ mod tests {
 
     #[test]
     fn exp11_quick_sweep_prices_all_four_policies() {
-        let (table, report) = exp11_scale_sweep(Scale::Quick, 0xFEED, None);
-        assert_eq!(report.points.len(), 4, "two rungs (n = 64, 256) x two scenarios");
-        assert_eq!(table.len(), 4 * 4);
+        let (table, report) = exp11_scale_sweep(Scale::Quick, 0xFEED, None, 2);
+        // Two rungs (n = 64, 256) × two scenarios × four policies.
+        assert_eq!(report.cells.len(), 16);
+        assert_eq!(table.len(), 16);
         assert_eq!(report.fingerprint.len(), 16);
-        for point in &report.points {
-            assert_eq!(point.reports.len(), 4, "n={}", point.n);
-            for r in &point.reports {
-                assert!(r.checkpoints_verified > 0, "n={} {}", point.n, r.policy);
-            }
-            let repair = point.report_for("impromptu_repair").unwrap();
-            let rebuild = point.report_for("rebuild_kkt").unwrap();
+        for cell in &report.cells {
+            assert!(cell.checkpoints_verified > 0, "n={} {}", cell.n, cell.policy);
+        }
+        for repair in report.cells.iter().filter(|c| c.policy == "impromptu_repair") {
+            let rebuild = report.peer(repair, "rebuild_kkt").unwrap();
             assert!(
-                repair.total.bits < rebuild.total.bits,
+                repair.total().bits < rebuild.total().bits,
                 "n={} {}: repair ({} bits) must undercut rebuild ({} bits)",
-                point.n,
-                point.scenario,
-                repair.total.bits,
-                rebuild.total.bits
+                repair.n,
+                repair.scenario,
+                repair.total().bits,
+                rebuild.total().bits
             );
         }
-        // The adversarial regime really forces repairs: every deletion is a
-        // current-tree edge.
-        let adversarial =
-            report.points.iter().find(|p| p.scenario == "adversarial_tree_cut").unwrap();
-        assert_eq!(adversarial.stats.tree_edge_deletions, adversarial.stats.deletions);
-        assert!(adversarial.stats.deletions > 0);
+        // The adversarial regime really forces repairs: every deletion of
+        // the trace the grid replayed is a current-tree edge.
+        let rung = SuiteParams::scale_preset(64).with_seed(0xFEED);
+        let base = rung.base_graph();
+        let workload =
+            AdversarialTreeCut { max_weight: rung.max_weight }.generate(&base, rung.events, 0xFEED);
+        let stats = workload.validate(&base).unwrap();
+        assert_eq!(stats.tree_edge_deletions, stats.deletions);
+        assert!(stats.deletions > 0);
+        assert!(report.cells.iter().any(|c| c.workload_fingerprint == workload.fingerprint()));
     }
 
     #[test]
     fn exp11_only_n_restricts_the_sweep() {
-        let (table, report) = exp11_scale_sweep(Scale::Quick, 7, Some(64));
-        assert_eq!(report.points.len(), 2);
-        assert!(report.points.iter().all(|p| p.n == 64));
+        let (table, report) = exp11_scale_sweep(Scale::Quick, 7, Some(64), 2);
+        assert_eq!(report.cells.len(), 2 * 4);
+        assert!(report.cells.iter().all(|c| c.n == 64));
         assert_eq!(table.len(), 2 * 4);
-        // The restricted run prices its rungs identically to the full sweep.
-        let (_, full) = exp11_scale_sweep(Scale::Quick, 7, None);
-        assert_eq!(report.points[0], full.points[0]);
-        assert_eq!(report.points[1], full.points[1]);
+        // The restricted run prices its rung identically to the full sweep.
+        let (_, full) = exp11_scale_sweep(Scale::Quick, 7, None, 2);
+        assert_eq!(report.cells[..], full.cells[..8]);
     }
 
     #[test]
     fn exp11_report_is_deterministic() {
-        let a = exp11_scale_sweep(Scale::Quick, 42, Some(64)).1;
-        let b = exp11_scale_sweep(Scale::Quick, 42, Some(64)).1;
-        assert_eq!(a, b);
+        let a = exp11_scale_sweep(Scale::Quick, 42, Some(64), 1).1;
+        let b = exp11_scale_sweep(Scale::Quick, 42, Some(64), 2).1;
         assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap(),
-            "same seed must give byte-identical JSON"
+            "same seed must give byte-identical JSON at any thread count"
         );
-    }
-
-    #[test]
-    fn exp12_wallclock_prices_all_four_policies_and_anchors_costs() {
-        let (table, report) = exp12_wallclock(Scale::Quick, 0xFEED, Some(64));
-        assert_eq!(report.rungs.len(), 1);
-        assert_eq!(table.len(), 4);
-        let rung = &report.rungs[0];
-        assert_eq!(rung.n, 64);
-        assert_eq!(rung.policies.len(), 4);
-        for p in &rung.policies {
-            assert!(p.seconds >= 0.0, "{}: wall-clock is non-negative", p.policy);
-            assert!(p.bits > 0 && p.messages > 0, "{}: cost columns are real", p.policy);
-            assert!(p.checkpoints > 0, "{}: every replay verified", p.policy);
-        }
-        // The cost columns are the determinism anchor: a second run must
-        // reproduce them exactly (only `seconds` may differ).
-        let (_, again) = exp12_wallclock(Scale::Quick, 0xFEED, Some(64));
-        for (a, b) in report.rungs[0].policies.iter().zip(&again.rungs[0].policies) {
-            assert_eq!((a.bits, a.messages, a.checkpoints), (b.bits, b.messages, b.checkpoints));
-        }
     }
 
     #[test]
@@ -1370,67 +887,77 @@ mod tests {
         // One grid column (n = 48) of the quick sweep: 6 density rungs × 2
         // scenarios, each under all four MST policies, every checkpoint
         // verified.
-        let (table, report) = exp13_dynamic_density(Scale::Quick, 0xFEED, Some(48));
-        assert_eq!(report.points.len(), 6 * 2, "six rungs x two scenarios");
+        let (table, report) = exp13_dynamic_density(Scale::Quick, 0xFEED, Some(48), 2);
+        assert_eq!(report.cells.len(), 6 * 2 * 4, "six rungs x two scenarios x four policies");
         assert_eq!(table.len(), 6 * 2 * 4);
         assert_eq!(report.fingerprint.len(), 16);
         let n = 48;
-        let max_edges = n * (n - 1) / 2;
-        for point in &report.points {
-            assert_eq!(point.n, n);
-            assert_eq!(point.reports.len(), 4, "density={}", point.density);
-            for r in &point.reports {
-                assert!(r.checkpoints_verified > 0, "{}/{}", point.density, r.policy);
-            }
-            assert!((point.m_over_n - point.m as f64 / n as f64).abs() < 1e-12);
-            if point.density == "n/2" {
-                assert_eq!(point.m, max_edges, "the densest rung is K_n");
+        for cell in &report.cells {
+            assert_eq!(cell.n, n);
+            assert!(cell.checkpoints_verified > 0, "m={} {}", cell.m, cell.policy);
+        }
+        // Cells run rung-major along the ladder; the densest rung is K_n.
+        let rung_of = |i: usize| i / (2 * 4);
+        for (i, cell) in report.cells.iter().enumerate() {
+            if rung_of(i) == Density::LADDER.len() - 1 {
+                assert_eq!(cell.m, n * (n - 1) / 2, "the densest rung is K_n");
             }
         }
         // Density is the sweep axis: the achieved m must rise from the "2"
-        // rung to the "n/2" rung within a scenario family.
-        let poisson: Vec<&DensityPoint> =
-            report.points.iter().filter(|p| p.scenario.starts_with("poisson")).collect();
-        assert_eq!(poisson.len(), 6);
-        assert!(poisson.first().unwrap().m < poisson.last().unwrap().m);
+        // rung to the "n/2" rung.
+        assert!(report.cells[0].m < report.cells.last().unwrap().m);
         // Both repair policies undercut rebuild_kkt at every grid cell (the
         // paper's own construction re-run pays its large constants per
         // event at every density).
-        for point in &report.points {
-            let rebuild = point.report_for("rebuild_kkt").unwrap();
-            for policy in ["impromptu_repair", "batched_repair"] {
-                let r = point.report_for(policy).unwrap();
-                assert!(
-                    r.total.bits < rebuild.total.bits,
-                    "{}/{}/{}: repair must undercut rebuild_kkt",
-                    point.density,
-                    point.scenario,
-                    policy
-                );
-            }
+        for cell in report.cells.iter().filter(|c| c.policy.ends_with("_repair")) {
+            let rebuild = report.peer(cell, "rebuild_kkt").unwrap();
+            assert!(
+                cell.total().bits < rebuild.total().bits,
+                "m={} {} {}: repair must undercut rebuild_kkt",
+                cell.m,
+                cell.scenario,
+                cell.policy
+            );
         }
         // Under steady Poisson churn at the densest rung, churn almost never
         // severs the tree (a random deletion hits the MST with probability
         // ≈ n/m), so repair beats even the cheap GHS rebuild outright.
         let dense_poisson = report
-            .points
+            .cells
             .iter()
-            .find(|p| p.density == "n/2" && p.scenario.starts_with("poisson"))
+            .find(|c| {
+                c.m == n * (n - 1) / 2
+                    && c.scenario.starts_with("poisson")
+                    && c.policy == "impromptu_repair"
+            })
             .unwrap();
-        let repair = dense_poisson.report_for("impromptu_repair").unwrap();
-        let ghs = dense_poisson.report_for("rebuild_ghs").unwrap();
+        let ghs = report.peer(dense_poisson, "rebuild_ghs").unwrap();
         assert!(
-            repair.total.bits < ghs.total.bits,
+            dense_poisson.total().bits < ghs.total().bits,
             "K_n poisson: repair ({} bits) must undercut GHS rebuild ({} bits)",
-            repair.total.bits,
-            ghs.total.bits
+            dense_poisson.total().bits,
+            ghs.total().bits
         );
+
+        // E14 is the same grid viewed by phase: the identical report, one
+        // anatomy row per cell.
+        let (anatomy, same) = exp14_cost_anatomy(Scale::Quick, 0xFEED, Some(48), 1);
+        assert_eq!(same, report);
+        assert_eq!(anatomy.len(), report.cells.len());
+    }
+
+    #[test]
+    fn restrict_keeps_exactly_the_matching_rungs() {
+        assert_eq!(restrict(vec![48, 96], None, |&n| n), [48, 96]);
+        assert_eq!(restrict(vec![48, 96], Some(96), |&n| n), [96]);
+        let fleet = restrict(FleetParams::large(1).rungs, Some(256), |r| r.n);
+        assert_eq!((fleet.len(), fleet[0].densities.len()), (1, Density::LADDER.len()));
     }
 
     #[test]
     fn exp13_only_n_restriction_must_match_a_rung() {
         let result = std::panic::catch_unwind(|| {
-            exp13_dynamic_density(Scale::Quick, 1, Some(1234));
+            exp13_dynamic_density(Scale::Quick, 1, Some(1234), 1);
         });
         assert!(result.is_err(), "an unmatched KKT_EXP13_N must fail loudly");
     }

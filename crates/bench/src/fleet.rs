@@ -16,6 +16,10 @@
 //! workloads the other cells replay, and every policy in an aggregate cell
 //! prices the *same* (graph, workload) pairs.
 //!
+//! The replays themselves are [`crate::grid`] cells: [`FleetParams::grid`]
+//! lowers the fleet to a [`GridSpec`], and [`run_replay_fleet`] aggregates
+//! its records per (rung, density, scenario, policy).
+//!
 //! Statistics are computed in the exact integer tier of
 //! [`crate::stats`] ([`SloSummary`]: `u128` sums, integer nearest-rank,
 //! micro-unit fixed point) — no float ever reaches a fingerprinted field.
@@ -25,10 +29,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use serde::{Deserialize, Serialize};
 
 use kkt_congest::Histogram;
-use kkt_workloads::replay::{MaintenancePolicy, ReplayConfig, ReplayHarness};
+use kkt_workloads::replay::MaintenancePolicy;
 use kkt_workloads::scenarios::{AdversarialTreeCut, PoissonChurn, Scenario};
 use kkt_workloads::suite::{Density, SuiteParams};
 
+use crate::grid::{run_cells, GridSpec, SimCost};
 use crate::stats::SloSummary;
 
 /// Splitmix64-style seed mixer: the `k`-th derived seed of `base`.
@@ -182,6 +187,12 @@ impl FleetScenario {
             FleetScenario::AdversarialTreeCut => Box::new(AdversarialTreeCut { max_weight }),
         }
     }
+
+    /// Both regimes' generators, in report order — the scenario axis of the
+    /// E11, E13, E14 and E16 grids.
+    pub fn generators(max_weight: u64) -> Vec<Box<dyn Scenario>> {
+        FleetScenario::ALL.iter().map(|s| s.generator(max_weight)).collect()
+    }
 }
 
 /// One size rung of the fleet grid and the density rungs swept at it.
@@ -235,14 +246,6 @@ impl FleetParams {
         }
     }
 
-    /// Keeps only the rungs matching a `KKT_EXP16_N` restriction.
-    pub fn restrict_to(mut self, only_n: Option<usize>) -> Self {
-        if let Some(only) = only_n {
-            self.rungs.retain(|r| r.n == only);
-        }
-        self
-    }
-
     /// The aggregate cells in deterministic grid order.
     pub fn aggregate_cells(&self) -> Vec<AggregateCell> {
         let policies = MaintenancePolicy::all_for(kkt_core::TreeKind::Mst);
@@ -265,6 +268,23 @@ impl FleetParams {
     pub fn mixed_seeds(&self) -> Vec<u64> {
         (0..self.seeds_per_cell as u64).map(|k| mix_seed(self.base_seed, k)).collect()
     }
+
+    /// The fleet as a replay grid: one rung per (size, density), both churn
+    /// regimes, every MST policy, the mixed seed set. Its cells run in
+    /// [`Self::aggregate_cells`] order with seeds innermost.
+    pub fn grid(&self) -> GridSpec {
+        let rungs: Vec<SuiteParams> = self
+            .rungs
+            .iter()
+            .flat_map(|r| r.densities.iter().map(|&d| SuiteParams::density_preset(r.n, d)))
+            .collect();
+        GridSpec {
+            scenarios: FleetScenario::generators(SuiteParams::default().max_weight),
+            rungs,
+            policies: MaintenancePolicy::all_for(kkt_core::TreeKind::Mst),
+            seeds: self.mixed_seeds(),
+        }
+    }
 }
 
 /// One aggregate cell of the grid: a (rung, density, scenario, policy)
@@ -281,62 +301,9 @@ pub struct AggregateCell {
     pub policy: MaintenancePolicy,
 }
 
-impl AggregateCell {
-    /// Cell identity for labels and panics.
-    fn label(&self, seed_ordinal: usize, seed: u64) -> String {
-        format!(
-            "policy={} n={} density={} scenario={} seed_ordinal={} seed={:#018x}",
-            self.policy.label(),
-            self.n,
-            self.density.label(),
-            self.scenario.label(),
-            seed_ordinal,
-            seed
-        )
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Per-seed replay and cross-seed aggregation
+// Cross-seed aggregation
 // ---------------------------------------------------------------------------
-
-/// The per-event samples one seed contributes to its aggregate cell.
-#[derive(Debug, Clone)]
-struct SeedSample {
-    /// Simulated repair time (rounds / makespan) per top-level event.
-    rounds: Vec<u64>,
-    /// Bits per top-level event.
-    bits: Vec<u64>,
-    /// Messages per top-level event.
-    messages: Vec<u64>,
-    /// Oracle checkpoints that verified during the replay.
-    checkpoints: u64,
-}
-
-/// Replays one (aggregate cell, seed) work cell. Pure function of its
-/// arguments — the unit the fleet shards across workers.
-fn replay_cell(cell: &AggregateCell, seed: u64) -> SeedSample {
-    let params = SuiteParams::density_preset(cell.n, cell.density).with_seed(seed);
-    let base = params.base_graph();
-    let harness = ReplayHarness::new(ReplayConfig {
-        kind: params.kind,
-        scheduler: params.scheduler,
-        verify_every: params.verify_every,
-        seed,
-        ..ReplayConfig::default()
-    });
-    let workload = cell.scenario.generator(params.max_weight).generate(&base, params.events, seed);
-    workload.validate(&base).expect("generated trace is applicable");
-    let report = harness
-        .replay(&base, &workload, cell.policy)
-        .expect("every checkpoint verifies against the shadow oracle");
-    SeedSample {
-        rounds: report.per_event.iter().map(|e| e.time).collect(),
-        bits: report.per_event.iter().map(|e| e.bits).collect(),
-        messages: report.per_event.iter().map(|e| e.messages).collect(),
-        checkpoints: report.checkpoints_verified as u64,
-    }
-}
 
 /// Bucket ladder for the cross-seed bits-per-event tail histograms:
 /// powers of two up to 2⁴⁸ — wide enough for the densest large rung.
@@ -407,43 +374,29 @@ impl FleetReport {
     }
 }
 
-/// Runs the whole fleet: shards the (aggregate cell × seed) work grid
-/// across `threads` workers, aggregates each cell's distribution in exact
-/// integer arithmetic, and seals the report. Byte-identical output for any
+/// Runs the whole fleet: replays its grid ([`FleetParams::grid`]) across
+/// `threads` workers, aggregates each cell's distribution in exact integer
+/// arithmetic, and seals the report. Byte-identical output for any
 /// `threads` ≥ 1.
 ///
 /// # Panics
 ///
 /// Re-raises a poisoned work cell as a panic carrying the cell's
-/// (policy, rung, density, seed) identity.
+/// (policy, rung, scenario, seed) identity.
 pub fn run_replay_fleet(params: &FleetParams, threads: usize) -> FleetReport {
     let aggregates = params.aggregate_cells();
-    let seeds = params.mixed_seeds();
-    let per_cell = seeds.len();
-    let work: Vec<(usize, usize)> =
-        (0..aggregates.len()).flat_map(|a| (0..per_cell).map(move |s| (a, s))).collect();
-
-    let samples = run_fleet(
-        work.len(),
-        threads,
-        |i| {
-            let (a, s) = work[i];
-            aggregates[a].label(s, seeds[s])
-        },
-        |i| {
-            let (a, s) = work[i];
-            replay_cell(&aggregates[a], seeds[s])
-        },
-    )
-    .unwrap_or_else(|poisoned| panic!("{poisoned}"));
+    let spec = params.grid();
+    let per_cell = spec.seeds.len();
+    let records = run_cells(&spec, threads);
 
     let mut scheduler = String::new();
     let mut cells = Vec::with_capacity(aggregates.len());
     for (a, agg) in aggregates.iter().enumerate() {
-        let group = &samples[a * per_cell..(a + 1) * per_cell];
-        let rounds: Vec<Vec<u64>> = group.iter().map(|s| s.rounds.clone()).collect();
-        let bits: Vec<Vec<u64>> = group.iter().map(|s| s.bits.clone()).collect();
-        let messages: Vec<Vec<u64>> = group.iter().map(|s| s.messages.clone()).collect();
+        let group = &records[a * per_cell..(a + 1) * per_cell];
+        let column = |pick: fn(&SimCost) -> u64| -> Vec<Vec<u64>> {
+            group.iter().map(|c| c.events.iter().map(pick).collect()).collect()
+        };
+        let bits = column(|e| e.bits);
         let bits_slo = SloSummary::of_groups(&bits);
 
         // Cross-seed tail through the mergeable histogram path (what a
@@ -472,18 +425,18 @@ pub fn run_replay_fleet(params: &FleetParams, threads: usize) -> FleetReport {
             scenario: agg.scenario.label().to_string(),
             policy: agg.policy.label().to_string(),
             events_per_seed: params_of_cell.events,
-            rounds: SloSummary::of_groups(&rounds),
+            rounds: SloSummary::of_groups(&column(|e| e.time)),
             bits: bits_slo,
-            messages: SloSummary::of_groups(&messages),
+            messages: SloSummary::of_groups(&column(|e| e.messages)),
             bits_hist_p99: merged.p99(),
-            checkpoints_verified: group.iter().map(|s| s.checkpoints).sum(),
+            checkpoints_verified: group.iter().map(|c| c.checkpoints_verified as u64).sum(),
         });
     }
 
     let mut report = FleetReport {
         base_seed: params.base_seed,
         seeds_per_cell: per_cell,
-        mixed_seeds: seeds,
+        mixed_seeds: spec.seeds,
         tree_kind: "mst".to_string(),
         scheduler,
         cells,
@@ -561,13 +514,13 @@ mod tests {
         assert_eq!(quick.seeds_per_cell, 32, "the ISSUE floor: ≥ 32 seeds per cell");
         // The seed set is a function of (base, count) only: a grid with
         // different rungs mixes the identical seeds.
-        let large = FleetParams::large(0xFEED).restrict_to(Some(1024));
+        let large = FleetParams::large(0xFEED);
         assert_eq!(quick.mixed_seeds(), large.mixed_seeds());
-        assert_eq!(large.rungs.len(), 1);
-        assert_eq!(large.rungs[0].n, 1024);
-        // An unmatched restriction empties the rung list (the caller turns
-        // that into a loud failure).
-        assert!(FleetParams::quick(1).restrict_to(Some(999)).rungs.is_empty());
+        // The lowered grid has one cell per (aggregate cell, seed).
+        let grid = quick.grid();
+        assert_eq!(grid.len(), 16 * 32);
+        assert_eq!(grid.seeds, quick.mixed_seeds());
+        assert_eq!(large.grid().rungs.len(), 6 + 1, "the n = 256 ladder plus n = 1024");
     }
 
     /// A tiny grid the debug-mode test budget can afford: one rung, one

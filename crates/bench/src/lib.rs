@@ -4,7 +4,10 @@
 //! theorems (see `DESIGN.md` §4 and `EXPERIMENTS.md`). Each function in
 //! [`experiments`] regenerates the measurement that checks one of those
 //! claims and returns a printable table; the `exp*` binaries are thin
-//! wrappers, and the Criterion benches in `benches/` time the same code.
+//! wrappers. The replay experiments run on one [`grid`] runner: exp9–exp14
+//! print its sealed [`GridReport`], and exp16 aggregates the same cells into
+//! seed distributions. Machine cost (seconds) is measured by the separate
+//! `perfbench` package, never here.
 //!
 //! Scale is controlled by [`Scale`]: the default keeps every binary under a
 //! few seconds; `KKT_SCALE=large` (environment variable) runs the sweeps the
@@ -12,11 +15,13 @@
 
 pub mod experiments;
 pub mod fleet;
+pub mod grid;
 pub mod stats;
 pub mod table;
 
 pub use fleet::{mix_seed, run_fleet, threads_from_env, FleetPanic};
-pub use stats::{ExactSummary, Percentiles, SloSummary, Summary};
+pub use grid::{run_grid, CellRecord, GridReport, GridSpec, SimCost};
+pub use stats::{ExactSummary, Percentiles, SloSummary};
 pub use table::Table;
 
 /// The workspace-wide base seed every experiment falls back to when

@@ -69,8 +69,8 @@ impl EdgeNumber {
     /// implementation with word size `w = 64` we fold the 128-bit
     /// concatenation into a single word with an odd-constant mix that is
     /// injective on `{(lo, hi) : lo, hi < 2^32}` (IDs polynomial in `n`) and
-    /// collision-free w.h.p. beyond that — see `kkt-hashing::karp_rabin` for
-    /// the fingerprinting argument the paper invokes for huge ID spaces.
+    /// collision-free w.h.p. beyond that (the paper's §1 compresses huge ID
+    /// spaces by Karp–Rabin fingerprinting; this workspace never needs to).
     pub fn as_u64_key(&self) -> u64 {
         let lo = self.min_id();
         let hi = self.max_id();

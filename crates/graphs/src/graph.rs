@@ -3,7 +3,7 @@
 //! [`Graph`] is the simulator's ground-truth topology. Nodes are dense indices
 //! `0..n`; each carries a distributed *identifier* drawn from a (possibly much
 //! larger) ID space, matching the KT1 model where IDs live in `{1, .., n^c}` (or
-//! larger, compressed down via Karp–Rabin fingerprinting, see `kkt-hashing`).
+//! larger, which the paper compresses down by Karp–Rabin fingerprinting).
 //!
 //! # Data plane
 //!

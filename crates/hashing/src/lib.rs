@@ -1,6 +1,6 @@
 //! Randomised hashing substrate for the `kkt-spanning` workspace.
 //!
-//! Everything probabilistic in King–Kutten–Thorup bottoms out in one of four
+//! Everything probabilistic in King–Kutten–Thorup bottoms out in one of three
 //! primitives, each of which lives in its own module here:
 //!
 //! * [`odd_hash`] — Thorup's multiply-threshold *ε-odd* hash family
@@ -11,8 +11,6 @@
 //!   (Lemma 4, §4.1).
 //! * [`set_equality`] — Schwartz–Zippel polynomial identity testing over
 //!   `Z_p`, the engine of `HP-TestOut` (§2.2, citing Blum–Kannan).
-//! * [`karp_rabin`] — Karp–Rabin fingerprinting used to compress an
-//!   exponential ID space into a polynomial one w.h.p. (§1).
 //!
 //! Supporting modules: [`primes`] (Miller–Rabin, prime selection) and
 //! [`modular`] (overflow-free `Z_p` arithmetic).
@@ -34,14 +32,12 @@
 //! assert!(hits > 125, "odd parity should occur with probability >= 1/8");
 //! ```
 
-pub mod karp_rabin;
 pub mod modular;
 pub mod odd_hash;
 pub mod pairwise;
 pub mod primes;
 pub mod set_equality;
 
-pub use karp_rabin::KarpRabin;
 pub use odd_hash::OddHash;
 pub use pairwise::PairwiseHash;
 pub use set_equality::{EdgeSetPoly, SetEqualitySketch};

@@ -105,7 +105,6 @@ fn real_compat_export_map_knows_the_shimmed_surface() {
     ok(&["rand", "SeedableRng"]);
     ok(&["serde", "Serialize"]);
     ok(&["serde_json", "to_string"]);
-    ok(&["criterion", "Criterion"]);
     let bogus: Vec<String> =
         ["rand", "not_a_real_export_zzz"].iter().map(|s| s.to_string()).collect();
     assert!(exports.validate(&bogus).is_err(), "unknown names must be rejected");

@@ -21,21 +21,23 @@
 //!   rebuild-from-scratch baselines (`Build MST` rerun, GHS, flooding),
 //!   under synchronous or random-async delivery, verifying against the
 //!   sequential Kruskal oracle at checkpoints.
-//! * **Reports** — per-event and cumulative [`ReplayReport`]s, and the
-//!   multi-scenario [`ChurnSuiteReport`] the `exp9_churn_policies` binary
-//!   serialises as deterministic JSON.
+//! * **Reports** — per-event and cumulative [`ReplayReport`]s; the
+//!   `kkt-bench` grid runner replays whole (rung × scenario × policy × seed)
+//!   grids of them into one sealed report.
 //! * **Density axis** — [`SuiteParams::density_preset`] instantiates any
 //!   suite at a rung of the [`Density`] ladder
 //!   (`m/n ∈ {2, 4, 8, 16, n/8, n/2}`, where `n/2` is the complete graph):
 //!   the base graph is rejection-sampled below a quarter of `K_n` and
 //!   exactly enumerated by `kkt_graphs::generators::connected_dense` above
-//!   it, every scenario generator is well-defined from the tree-only floor
-//!   (`m = n - 1`) to `K_n`, and the achieved `m/n` is recorded in (and
-//!   fingerprinted with) every suite report. The `exp13_dynamic_density`
-//!   binary sweeps the whole `n × m/n` grid (EXPERIMENTS.md §E13).
+//!   it, and every scenario generator is well-defined from the tree-only
+//!   floor (`m = n - 1`) to `K_n`. The `exp13_dynamic_density` binary
+//!   sweeps the whole `n × m/n` grid (EXPERIMENTS.md §E13).
 //!
 //! ```rust
-//! use kkt_workloads::{run_churn_suite, Density, SuiteParams};
+//! use kkt_workloads::{
+//!     Density, MaintenancePolicy, ReplayConfig, ReplayHarness, Scenario, SuiteParams,
+//!     WeightDrift,
+//! };
 //!
 //! // The densest rung of the ladder at n = 16: the complete graph K_16.
 //! let params = SuiteParams {
@@ -43,8 +45,19 @@
 //!     verify_every: 2,
 //!     ..SuiteParams::density_preset(16, Density::NOver2)
 //! };
-//! let report = run_churn_suite(&params).unwrap();
-//! assert_eq!(report.m, 16 * 15 / 2);
+//! let base = params.base_graph();
+//! assert_eq!(base.edge_count(), 16 * 15 / 2);
+//!
+//! let workload = WeightDrift::default().generate(&base, params.events, params.seed);
+//! let harness = ReplayHarness::new(ReplayConfig {
+//!     scheduler: params.scheduler,
+//!     verify_every: params.verify_every,
+//!     seed: params.seed,
+//!     ..ReplayConfig::default()
+//! });
+//! let report = harness.replay(&base, &workload, MaintenancePolicy::Impromptu).unwrap();
+//! assert_eq!(report.m_initial, 16 * 15 / 2);
+//! assert!(report.checkpoints_verified > 0);
 //! ```
 //!
 //! # Example
@@ -77,13 +90,10 @@ pub use event::WorkloadEvent;
 pub use fingerprint::{fingerprint_hex, fnv1a64};
 pub use kkt_obs::{JsonlObserver, MetricsObserver, Observer, PhaseAccumulator, TraceRecord};
 pub use replay::{MaintenancePolicy, ReplayConfig, ReplayError, ReplayHarness};
-pub use report::{
-    AnatomyPoint, ChurnSuiteReport, CostAnatomyReport, DensityPoint, DensitySweepReport, EventCost,
-    ReplayReport, ScalePoint, ScaleSweepReport, ScenarioComparison,
-};
+pub use report::{EventCost, ReplayReport};
 pub use scenarios::{
     standard_suite, AdversarialTreeCut, MixedPhases, MultiEdgeCuts, PartitionHeal, PoissonChurn,
     Scenario, WeightDrift,
 };
-pub use suite::{run_churn_suite, Density, SuiteParams};
+pub use suite::{Density, SuiteParams};
 pub use workload::{Workload, WorkloadStats};

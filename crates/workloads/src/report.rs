@@ -1,27 +1,10 @@
-//! Cost reports: per-event records, per-run reports, and the multi-policy
-//! comparison document the experiment suite serialises.
+//! Cost reports: per-event records and per-run reports.
 
 use serde::{Deserialize, Serialize};
 
-use kkt_congest::{CostReport, PhaseCost, PhaseLedger, Scheduler};
-use kkt_graphs::Graph;
+use kkt_congest::{CostReport, Scheduler};
 
 use crate::fingerprint::fingerprint_hex;
-use crate::workload::WorkloadStats;
-
-/// The *achieved* density ratio `m/n` of a base graph — what reports record
-/// (the rejection-sampling builder may undershoot the configured budget, so
-/// this is not always the ladder's nominal ratio).
-pub fn m_over_n(g: &Graph) -> f64 {
-    g.edge_count() as f64 / g.node_count().max(1) as f64
-}
-
-/// The shared sealing discipline of the suite documents: fingerprint the
-/// whole serialised report with its fingerprint field emptied (so sealing
-/// is idempotent and covers the run parameters, not just the result body).
-fn sealed_fingerprint<T: Serialize>(doc: &T) -> String {
-    fingerprint_hex(&serde_json::to_string(doc).expect("report serialises"))
-}
 
 /// Stable text label of a scheduler, used in reports.
 pub fn scheduler_label(scheduler: Scheduler) -> String {
@@ -124,237 +107,6 @@ impl ReplayReport {
     }
 }
 
-/// One scenario compared across maintenance policies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScenarioComparison {
-    /// Scenario identifier.
-    pub scenario: String,
-    /// Fingerprint of the generated trace.
-    pub workload_fingerprint: String,
-    /// Trace statistics from validation.
-    pub stats: WorkloadStats,
-    /// One report per policy, impromptu first.
-    pub reports: Vec<ReplayReport>,
-}
-
-impl ScenarioComparison {
-    /// The report for a given policy label, if present.
-    pub fn report_for(&self, policy: &str) -> Option<&ReplayReport> {
-        self.reports.iter().find(|r| r.policy == policy)
-    }
-}
-
-/// The top-level document `exp9_churn_policies` emits: every scenario of the
-/// standard battery replayed under every applicable policy, with a
-/// fingerprint sealing the whole run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ChurnSuiteReport {
-    /// Nodes of the base graph.
-    pub n: usize,
-    /// Live edges of the base graph.
-    pub m: usize,
-    /// Top-level events per scenario.
-    pub events_per_scenario: usize,
-    /// Density of the base graph (`m / n`) — the E13 sweep axis, recorded so
-    /// a report names its density rung without arithmetic on `n`/`m`.
-    pub m_over_n: f64,
-    /// Master seed.
-    pub seed: u64,
-    /// `mst` or `st`.
-    pub tree_kind: String,
-    /// Scheduler label.
-    pub scheduler: String,
-    /// Per-scenario comparisons.
-    pub scenarios: Vec<ScenarioComparison>,
-    /// FNV-1a fingerprint over the whole serialised document (with this
-    /// field emptied) — equal seeds yield byte-identical reports, so equal
-    /// fingerprints, and the fingerprint covers the run parameters
-    /// (`n`, `m`, density, scheduler) as well as the scenario results.
-    pub fingerprint: String,
-}
-
-impl ChurnSuiteReport {
-    /// Seals the report (see [`sealed_fingerprint`]).
-    pub fn seal(&mut self) {
-        self.fingerprint = String::new();
-        self.fingerprint = sealed_fingerprint(self);
-    }
-}
-
-/// One scale point of the E11 sweep: a scenario instantiated at a given `n`
-/// and replayed under every applicable policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScalePoint {
-    /// Nodes of this point's base graph.
-    pub n: usize,
-    /// Live edges of this point's base graph.
-    pub m: usize,
-    /// Top-level events of the trace.
-    pub events: usize,
-    /// Checkpoint interval the replays ran with (`0` = final event only).
-    pub verify_every: usize,
-    /// Scenario identifier.
-    pub scenario: String,
-    /// Fingerprint of the generated trace.
-    pub workload_fingerprint: String,
-    /// Trace statistics from validation.
-    pub stats: WorkloadStats,
-    /// One report per policy, impromptu first.
-    pub reports: Vec<ReplayReport>,
-}
-
-impl ScalePoint {
-    /// The report for a given policy label, if present.
-    pub fn report_for(&self, policy: &str) -> Option<&ReplayReport> {
-        self.reports.iter().find(|r| r.policy == policy)
-    }
-}
-
-/// The document `exp11_scale_sweep` emits: the same scenario replayed at a
-/// ladder of network sizes, pricing bits-per-event vs `n` for every policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScaleSweepReport {
-    /// Master seed.
-    pub seed: u64,
-    /// `mst` or `st`.
-    pub tree_kind: String,
-    /// Scheduler label.
-    pub scheduler: String,
-    /// One entry per swept `n`, ascending.
-    pub points: Vec<ScalePoint>,
-    /// FNV-1a fingerprint over the serialised `points` array.
-    pub fingerprint: String,
-}
-
-impl ScaleSweepReport {
-    /// Seals the report (see [`sealed_fingerprint`]).
-    pub fn seal(&mut self) {
-        self.fingerprint = String::new();
-        self.fingerprint = sealed_fingerprint(self);
-    }
-}
-
-/// One grid cell of the E13 dynamic density sweep: a scenario instantiated
-/// at a given `(n, m/n)` and replayed under every applicable policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DensityPoint {
-    /// Nodes of this point's base graph.
-    pub n: usize,
-    /// Live edges of this point's base graph (the *achieved* count — dense
-    /// rungs clamp to the complete graph).
-    pub m: usize,
-    /// Ladder label of the density rung (`"2"`, `"4"`, …, `"n/8"`, `"n/2"`).
-    pub density: String,
-    /// Achieved density ratio `m / n`.
-    pub m_over_n: f64,
-    /// Top-level events of the trace.
-    pub events: usize,
-    /// Checkpoint interval the replays ran with (`0` = final event only).
-    pub verify_every: usize,
-    /// Scenario identifier.
-    pub scenario: String,
-    /// Fingerprint of the generated trace.
-    pub workload_fingerprint: String,
-    /// Trace statistics from validation.
-    pub stats: WorkloadStats,
-    /// One report per policy, impromptu first.
-    pub reports: Vec<ReplayReport>,
-}
-
-impl DensityPoint {
-    /// The report for a given policy label, if present.
-    pub fn report_for(&self, policy: &str) -> Option<&ReplayReport> {
-        self.reports.iter().find(|r| r.policy == policy)
-    }
-}
-
-/// The document `exp13_dynamic_density` emits: poisson + adversarial traces
-/// replayed across the `n × m/n` grid, pricing bits-per-event vs density for
-/// every maintenance policy — the dynamic analogue of the E8 construction
-/// crossover.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DensitySweepReport {
-    /// Master seed.
-    pub seed: u64,
-    /// `mst` or `st`.
-    pub tree_kind: String,
-    /// Scheduler label.
-    pub scheduler: String,
-    /// One entry per `(n, density, scenario)` cell, `n`-major then ladder
-    /// order.
-    pub points: Vec<DensityPoint>,
-    /// FNV-1a fingerprint over the whole serialised document (with this
-    /// field emptied).
-    pub fingerprint: String,
-}
-
-impl DensitySweepReport {
-    /// Seals the report (see [`sealed_fingerprint`]).
-    pub fn seal(&mut self) {
-        self.fingerprint = String::new();
-        self.fingerprint = sealed_fingerprint(self);
-    }
-}
-
-/// One grid cell of the E14 cost anatomy: one `(n, density, scenario,
-/// policy)` replay with its cost decomposed by phase (summed over the whole
-/// trace, build excluded — the anatomy prices *maintenance*).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AnatomyPoint {
-    /// Nodes of this point's base graph.
-    pub n: usize,
-    /// Live edges of this point's base graph.
-    pub m: usize,
-    /// Ladder label of the density rung.
-    pub density: String,
-    /// Achieved density ratio `m / n`.
-    pub m_over_n: f64,
-    /// Scenario identifier.
-    pub scenario: String,
-    /// Policy label.
-    pub policy: String,
-    /// Top-level events of the trace.
-    pub events: usize,
-    /// Oracle checkpoints that verified.
-    pub checkpoints_verified: usize,
-    /// Fingerprint of the generated trace.
-    pub workload_fingerprint: String,
-    /// Per-phase cost over all events.
-    pub phases: PhaseLedger,
-    /// The phase sums — conservation-checked against the replay's event
-    /// totals before the point is recorded.
-    pub total: PhaseCost,
-    /// Label of the phase with the most bits (ties break in ledger order).
-    pub dominant_phase: String,
-}
-
-/// The document `exp14_cost_anatomy` emits: where do the bits go? Every
-/// `(n, density)` cell of the E13 grid replayed under every MST policy with
-/// the phase-attributing observer installed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CostAnatomyReport {
-    /// Master seed.
-    pub seed: u64,
-    /// `mst` or `st`.
-    pub tree_kind: String,
-    /// Scheduler label.
-    pub scheduler: String,
-    /// One entry per `(n, density, scenario, policy)`, `n`-major then ladder
-    /// then scenario then policy order.
-    pub points: Vec<AnatomyPoint>,
-    /// FNV-1a fingerprint over the whole serialised document (with this
-    /// field emptied).
-    pub fingerprint: String,
-}
-
-impl CostAnatomyReport {
-    /// Seals the report (see [`sealed_fingerprint`]).
-    pub fn seal(&mut self) {
-        self.fingerprint = String::new();
-        self.fingerprint = sealed_fingerprint(self);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,73 +182,5 @@ mod tests {
             scheduler_label(Scheduler::RandomAsync { max_delay: 8 }),
             "random_async(max_delay=8)"
         );
-    }
-
-    #[test]
-    fn suite_report_seals_deterministically() {
-        let mut a = ChurnSuiteReport {
-            n: 8,
-            m: 12,
-            events_per_scenario: 3,
-            m_over_n: 1.5,
-            seed: 1,
-            tree_kind: "mst".into(),
-            scheduler: "synchronous".into(),
-            scenarios: Vec::new(),
-            fingerprint: String::new(),
-        };
-        let mut b = a.clone();
-        a.seal();
-        b.seal();
-        assert_eq!(a.fingerprint, b.fingerprint);
-        assert_eq!(a.fingerprint.len(), 16);
-        // Sealing is idempotent: resealing an already-sealed report lands on
-        // the same fingerprint (the field is emptied before hashing).
-        let sealed = a.fingerprint.clone();
-        a.seal();
-        assert_eq!(a.fingerprint, sealed);
-        // The fingerprint covers the run parameters, not just the scenarios:
-        // two runs at different density rungs must not collide.
-        let mut denser = b.clone();
-        denser.m = 28;
-        denser.m_over_n = 3.5;
-        denser.seal();
-        assert_ne!(denser.fingerprint, b.fingerprint);
-    }
-
-    #[test]
-    fn density_sweep_report_seals_and_round_trips() {
-        let mut report = DensitySweepReport {
-            seed: 7,
-            tree_kind: "mst".into(),
-            scheduler: "synchronous".into(),
-            points: vec![DensityPoint {
-                n: 16,
-                m: 120,
-                density: "n/2".into(),
-                m_over_n: 7.5,
-                events: 4,
-                verify_every: 2,
-                scenario: "poisson_churn(0.50)".into(),
-                workload_fingerprint: "abcd".into(),
-                stats: WorkloadStats::default(),
-                reports: Vec::new(),
-            }],
-            fingerprint: String::new(),
-        };
-        report.seal();
-        assert_eq!(report.fingerprint.len(), 16);
-        let sealed = report.fingerprint.clone();
-        report.seal();
-        assert_eq!(report.fingerprint, sealed, "sealing is idempotent");
-        let text = serde_json::to_string(&report).unwrap();
-        let back: DensitySweepReport = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, report);
-        assert_eq!(back.points[0].report_for("nope"), None);
-        // A different rung label alone moves the fingerprint.
-        let mut other = report.clone();
-        other.points[0].density = "16".into();
-        other.seal();
-        assert_ne!(other.fingerprint, report.fingerprint);
     }
 }

@@ -22,8 +22,9 @@ use crate::event::WorkloadEvent;
 use crate::fingerprint::fnv1a64;
 use crate::workload::Workload;
 
-/// A deterministic trace generator.
-pub trait Scenario {
+/// A deterministic trace generator. `Send + Sync` so a grid of scenarios
+/// can be shared across replay workers.
+pub trait Scenario: Send + Sync {
     /// Stable identifier (also the default workload name); parameters are
     /// baked in so two differently-tuned instances have different ids.
     fn id(&self) -> String;

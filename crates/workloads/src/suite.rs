@@ -1,5 +1,5 @@
-//! Ready-made scenario suites: generate the standard battery, replay it
-//! under every applicable policy, and seal a comparison report.
+//! Suite parameters: the size/density rungs every replay grid is built
+//! from, and their deterministic base graphs.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -7,10 +7,6 @@ use rand::SeedableRng;
 use kkt_congest::Scheduler;
 use kkt_core::TreeKind;
 use kkt_graphs::{generators, Graph};
-
-use crate::replay::{MaintenancePolicy, ReplayConfig, ReplayError, ReplayHarness};
-use crate::report::{scheduler_label, ChurnSuiteReport, ScenarioComparison};
-use crate::scenarios::standard_suite;
 
 /// A rung of the dynamic density ladder: the target edge budget expressed
 /// as a ratio `m/n`. The interesting sweep axis of the o(m) claims — sparse
@@ -61,7 +57,8 @@ impl Density {
     }
 }
 
-/// Parameters of a churn-suite run.
+/// Parameters of one replay-grid rung: base-graph shape, trace length and
+/// replay configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct SuiteParams {
     /// Nodes of the base graph.
@@ -139,10 +136,10 @@ impl SuiteParams {
     }
 
     /// The same parameters replayed under a different master seed — the
-    /// per-cell plumbing of the seed-fleet runner, where every (rung,
-    /// density) preset is instantiated once per mixed seed. A builder method
-    /// (rather than struct-update syntax at each call site) so fleet cells
-    /// cannot accidentally override anything but the seed.
+    /// per-cell plumbing of the grid runner, where every rung is
+    /// instantiated once per seed. A builder method (rather than
+    /// struct-update syntax at each call site) so grid cells cannot
+    /// accidentally override anything but the seed.
     pub fn with_seed(self, seed: u64) -> Self {
         SuiteParams { seed, ..self }
     }
@@ -169,75 +166,9 @@ impl SuiteParams {
     }
 }
 
-/// Generates the standard scenario battery over the params' base graph and
-/// replays every scenario under every policy applicable to `params.kind`.
-///
-/// # Errors
-///
-/// Propagates the first replay failure (including oracle mismatches — a
-/// suite report is only produced when every checkpoint verified).
-pub fn run_churn_suite(params: &SuiteParams) -> Result<ChurnSuiteReport, ReplayError> {
-    let base = params.base_graph();
-    let harness = ReplayHarness::new(ReplayConfig {
-        kind: params.kind,
-        scheduler: params.scheduler,
-        verify_every: params.verify_every,
-        seed: params.seed,
-        ..ReplayConfig::default()
-    });
-    let mut scenarios = Vec::new();
-    for scenario in standard_suite(params.max_weight) {
-        let workload = scenario.generate(&base, params.events, params.seed);
-        let stats = workload.validate(&base).map_err(ReplayError::InvalidTrace)?;
-        let mut reports = Vec::new();
-        for policy in MaintenancePolicy::all_for(params.kind) {
-            reports.push(harness.replay(&base, &workload, policy)?);
-        }
-        scenarios.push(ScenarioComparison {
-            scenario: workload.scenario.clone(),
-            workload_fingerprint: workload.fingerprint(),
-            stats,
-            reports,
-        });
-    }
-    let mut report = ChurnSuiteReport {
-        n: base.node_count(),
-        m: base.edge_count(),
-        events_per_scenario: params.events,
-        m_over_n: crate::report::m_over_n(&base),
-        seed: params.seed,
-        tree_kind: match params.kind {
-            TreeKind::Mst => "mst".to_string(),
-            TreeKind::St => "st".to_string(),
-        },
-        scheduler: scheduler_label(params.scheduler),
-        scenarios,
-        fingerprint: String::new(),
-    };
-    report.seal();
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny() -> SuiteParams {
-        SuiteParams { n: 16, m: 40, events: 4, verify_every: 2, ..SuiteParams::default() }
-    }
-
-    #[test]
-    fn suite_runs_and_seals() {
-        let report = run_churn_suite(&tiny()).unwrap();
-        assert_eq!(report.scenarios.len(), 5);
-        for s in &report.scenarios {
-            assert_eq!(s.reports.len(), 4, "{}", s.scenario);
-            for r in &s.reports {
-                assert!(r.checkpoints_verified > 0);
-            }
-        }
-        assert_eq!(report.fingerprint.len(), 16);
-    }
 
     #[test]
     fn with_n_keeps_the_density_ratio() {
@@ -358,39 +289,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn suite_runs_on_a_dense_rung() {
-        // The whole battery replays and verifies on a dense base graph (the
-        // regime none of the pre-E13 suites ever exercised).
-        let params = SuiteParams {
-            events: 4,
-            verify_every: 2,
-            ..SuiteParams::density_preset(16, Density::NOver2)
-        };
-        let report = run_churn_suite(&params).unwrap();
-        assert_eq!(report.m, 16 * 15 / 2, "the n/2 rung is the complete graph");
-        assert!((report.m_over_n - 7.5).abs() < 1e-12);
-        assert_eq!(report.scenarios.len(), 5);
-        for s in &report.scenarios {
-            for r in &s.reports {
-                assert!(r.checkpoints_verified > 0, "{}/{}", s.scenario, r.policy);
-            }
-        }
-    }
-
-    #[test]
-    fn suite_is_deterministic_across_runs() {
-        let a = run_churn_suite(&tiny()).unwrap();
-        let b = run_churn_suite(&tiny()).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap(),
-            "same seed must give byte-identical JSON"
-        );
-        let c = run_churn_suite(&SuiteParams { seed: 99, ..tiny() }).unwrap();
-        assert_ne!(a.fingerprint, c.fingerprint);
     }
 }

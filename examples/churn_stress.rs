@@ -14,57 +14,58 @@
 
 use kkt::core::TreeKind;
 use kkt::workloads::{
-    run_churn_suite, ChurnSuiteReport, MaintenancePolicy, MixedPhases, PhaseAccumulator,
-    ReplayConfig, ReplayHarness, Scenario, SuiteParams,
+    standard_suite, MaintenancePolicy, MixedPhases, PhaseAccumulator, ReplayConfig, ReplayHarness,
+    Scenario, SuiteParams,
 };
+use kkt_bench::{run_grid, threads_from_env, GridReport, GridSpec};
 
-fn summarise(report: &ChurnSuiteReport) {
+/// The whole battery under every policy applicable to the rung's structure.
+fn battery(rung: SuiteParams) -> GridReport {
+    let spec = GridSpec {
+        rungs: vec![rung],
+        scenarios: standard_suite(rung.max_weight),
+        policies: MaintenancePolicy::all_for(rung.kind),
+        seeds: vec![rung.seed],
+    };
+    run_grid(&spec, threads_from_env())
+}
+
+fn summarise(rung: &SuiteParams, report: &GridReport) {
     println!(
-        "== {} maintenance, {} (n = {}, m = {}, {} events/scenario, fingerprint {})",
-        report.tree_kind,
-        report.scheduler,
-        report.n,
-        report.m,
-        report.events_per_scenario,
-        report.fingerprint
+        "== {} maintenance, {} (n = {}, {} events/scenario, fingerprint {})",
+        report.tree_kind, report.scheduler, rung.n, rung.events, report.fingerprint
     );
-    for scenario in &report.scenarios {
+    for cell in &report.cells {
+        let impromptu_bits = report.peer(cell, "impromptu_repair").map_or(0, |r| r.total().bits);
+        let ratio = if impromptu_bits > 0 {
+            format!("{:.2}x impromptu", cell.total().bits as f64 / impromptu_bits as f64)
+        } else {
+            "-".to_string()
+        };
         println!(
-            "  {} (deletions {}, of which tree {}; insertions {}; weight changes {}; max components {})",
-            scenario.scenario,
-            scenario.stats.deletions,
-            scenario.stats.tree_edge_deletions,
-            scenario.stats.insertions,
-            scenario.stats.weight_changes,
-            scenario.stats.max_components,
+            "  {:<60} {:<16} {:>9} msgs {:>12} bits ({} checkpoints ok, {})",
+            cell.scenario,
+            cell.policy,
+            cell.total().messages,
+            cell.total().bits,
+            cell.checkpoints_verified,
+            ratio
         );
-        let impromptu_bits = scenario.report_for("impromptu_repair").map_or(0, |r| r.total.bits);
-        for r in &scenario.reports {
-            let ratio = if impromptu_bits > 0 {
-                format!("{:.2}x impromptu", r.total.bits as f64 / impromptu_bits as f64)
-            } else {
-                "-".to_string()
-            };
-            println!(
-                "    {:<16} {:>9} msgs {:>12} bits ({} checkpoints ok, {})",
-                r.policy, r.total.messages, r.total.bits, r.checkpoints_verified, ratio
-            );
-        }
     }
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mst = SuiteParams { n: 48, m: 192, events: 12, verify_every: 3, ..SuiteParams::default() };
-    summarise(&run_churn_suite(&mst)?);
+    summarise(&mst, &battery(mst));
 
     // The same battery on an unweighted spanning tree: repairs use FindAny
     // (expected O(n)) and the rebuild baseline is Θ(m) flooding.
     let st = SuiteParams { kind: TreeKind::St, max_weight: 1, ..mst };
-    summarise(&run_churn_suite(&st)?);
+    summarise(&st, &battery(st));
 
     // KKT_TRACE=1: one extra observed replay of the mixed lifecycle per MST
     // policy, decomposing each policy's bits by phase. Attribution is pure —
-    // the suites above print the same numbers with or without the flag.
+    // the batteries above print the same numbers with or without the flag.
     if std::env::var("KKT_TRACE").is_ok_and(|v| v == "1") {
         let base = mst.base_graph();
         let workload = MixedPhases::standard(mst.max_weight).generate(&base, mst.events, mst.seed);

@@ -9,8 +9,8 @@
 //! downstream user can depend on a single crate:
 //!
 //! * [`graphs`] — graph substrate, generators, sequential oracles,
-//! * [`hashing`] — odd hashes, pairwise-independent hashes, Karp–Rabin,
-//!   Schwartz–Zippel sketches,
+//! * [`hashing`] — odd hashes, pairwise-independent hashes, Schwartz–Zippel
+//!   sketches,
 //! * [`congest`] — the CONGEST KT1 simulator (engines, broadcast-and-echo,
 //!   leader election, flooding, cost accounting),
 //! * [`core`] — the paper's algorithms (TestOut, HP-TestOut, FindAny,
@@ -26,7 +26,7 @@
 //! The runnable examples live in `examples/` (`quickstart`,
 //! `dynamic_network`, `broadcast_tree`, `compare_baselines`,
 //! `churn_stress`) and the experiment harness in the `kkt-bench` crate
-//! (whose `exp1`…`exp11` binaries are registered on this package, so
+//! (whose `exp*` binaries are registered on this package, so
 //! `cargo run --bin exp11_scale_sweep` works from the repository root).
 //!
 //! ```rust

@@ -17,9 +17,8 @@
 //! Each experiment's aggregate — FNV-1a over its canonical lines, sorted and
 //! concatenated — is pinned here as well.
 
-use kkt::congest::{CostReport, PhaseLedger};
-use kkt::workloads::{fnv1a64, EventCost, ReplayReport};
-use kkt_bench::{experiments, Scale, DEFAULT_SEED};
+use kkt::workloads::fnv1a64;
+use kkt_bench::{experiments, CellRecord, GridReport, Scale, DEFAULT_SEED};
 
 const MANIFEST: &str = include_str!("golden/cost_digests.txt");
 
@@ -33,45 +32,38 @@ const AGGREGATES: [(&str, usize, &str); 5] = [
 ];
 
 /// One replay cell's canonical cost line.
-fn replay_line(
-    policy: &str,
-    (n, m): (usize, usize),
-    scenario: &str,
-    seed: u64,
-    build: CostReport,
-    per_event: &[EventCost],
-) -> String {
+fn replay_line(c: &CellRecord) -> String {
     let events: Vec<String> =
-        per_event.iter().map(|e| format!("{},{},{}", e.bits, e.messages, e.time)).collect();
+        c.events.iter().map(|e| format!("{},{},{}", e.bits, e.messages, e.time)).collect();
     format!(
-        "{policy} {n} {m} {scenario} {seed} build={},{},{} events={}\n",
-        build.bits,
-        build.messages,
-        build.time,
+        "{} {} {} {} {} build={},{},{} events={}\n",
+        c.policy,
+        c.n,
+        c.m,
+        c.scenario,
+        c.seed,
+        c.build.bits,
+        c.build.messages,
+        c.build.time,
         events.join(";")
     )
 }
 
-/// The canonical line of a whole [`ReplayReport`] replayed under `seed`.
-fn report_line(r: &ReplayReport, seed: u64) -> String {
-    replay_line(&r.policy, (r.n, r.m_initial), &r.scenario, seed, r.build, &r.per_event)
-}
-
 /// One anatomy cell's canonical cost line.
-fn anatomy_line(
-    policy: &str,
-    (n, m): (usize, usize),
-    scenario: &str,
-    seed: u64,
-    phases: &PhaseLedger,
-) -> String {
-    let phases: Vec<String> = phases
+fn anatomy_line(c: &CellRecord) -> String {
+    let phases: Vec<String> = c
+        .phases
         .entries()
-        .map(|(phase, c)| {
-            format!("{}={},{},{},{}", phase.label(), c.bits, c.messages, c.time, c.broadcast_echoes)
+        .map(|(phase, p)| {
+            format!("{}={},{},{},{}", phase.label(), p.bits, p.messages, p.time, p.broadcast_echoes)
         })
         .collect();
-    format!("{policy} {n} {m} {scenario} {seed} {}\n", phases.join(" "))
+    format!("{} {} {} {} {} {}\n", c.policy, c.n, c.m, c.scenario, c.seed, phases.join(" "))
+}
+
+/// Every cell's canonical line, in grid order.
+fn lines(report: &GridReport, line: fn(&CellRecord) -> String) -> Vec<String> {
+    report.cells.iter().map(line).collect()
 }
 
 /// Checks an experiment's canonical lines against its manifest entries (in
@@ -116,59 +108,30 @@ fn manifest_covers_exactly_the_pinned_experiments() {
 
 #[test]
 fn exp9_costs_match_the_manifest() {
-    let (_, report) = experiments::exp9_churn_policies(Scale::Quick, DEFAULT_SEED);
-    let lines: Vec<String> = report
-        .scenarios
-        .iter()
-        .flat_map(|s| &s.reports)
-        .map(|r| report_line(r, report.seed))
-        .collect();
-    check("exp9", &lines);
+    let (_, report) = experiments::exp9_churn_policies(Scale::Quick, DEFAULT_SEED, 2);
+    check("exp9", &lines(&report, replay_line));
 }
 
 #[test]
 fn exp10_costs_match_the_manifest() {
-    let (_, report) = experiments::exp10_batched_repair(Scale::Quick, DEFAULT_SEED);
-    let lines: Vec<String> = report
-        .scenarios
-        .iter()
-        .flat_map(|s| &s.reports)
-        .map(|r| report_line(r, report.seed))
-        .collect();
-    check("exp10", &lines);
+    let (_, report) = experiments::exp10_batched_repair(Scale::Quick, DEFAULT_SEED, 2);
+    check("exp10", &lines(&report, replay_line));
 }
 
 #[test]
 fn exp11_costs_match_the_manifest() {
-    let (_, report) = experiments::exp11_scale_sweep(Scale::Quick, DEFAULT_SEED, None);
-    let lines: Vec<String> = report
-        .points
-        .iter()
-        .flat_map(|p| &p.reports)
-        .map(|r| report_line(r, report.seed))
-        .collect();
-    check("exp11", &lines);
+    let (_, report) = experiments::exp11_scale_sweep(Scale::Quick, DEFAULT_SEED, None, 2);
+    check("exp11", &lines(&report, replay_line));
 }
 
 #[test]
 fn exp13_costs_match_the_manifest() {
-    let (_, report) = experiments::exp13_dynamic_density(Scale::Quick, DEFAULT_SEED, None);
-    let lines: Vec<String> = report
-        .points
-        .iter()
-        .flat_map(|p| &p.reports)
-        .map(|r| report_line(r, report.seed))
-        .collect();
-    check("exp13", &lines);
+    let (_, report) = experiments::exp13_dynamic_density(Scale::Quick, DEFAULT_SEED, None, 2);
+    check("exp13", &lines(&report, replay_line));
 }
 
 #[test]
 fn exp14_costs_match_the_manifest() {
-    let (_, report) = experiments::exp14_cost_anatomy(Scale::Quick, DEFAULT_SEED, None);
-    let lines: Vec<String> = report
-        .points
-        .iter()
-        .map(|p| anatomy_line(&p.policy, (p.n, p.m), &p.scenario, report.seed, &p.phases))
-        .collect();
-    check("exp14", &lines);
+    let (_, report) = experiments::exp14_cost_anatomy(Scale::Quick, DEFAULT_SEED, None, 2);
+    check("exp14", &lines(&report, anatomy_line));
 }
