@@ -65,5 +65,7 @@ pub use error::CongestError;
 pub use forest::MarkedForest;
 pub use kkt_obs::{Histogram, MetricsRegistry, Phase, PhaseCost, PhaseLedger, PhaseProfile};
 pub use message::{bits_for_value, BitSized};
-pub use model::{IncidentEdge, Network, NetworkConfig, NodeView};
+pub use model::{
+    compact_key, pack_weight, AugmentedWeight, IncidentEdge, Network, NetworkConfig, NodeView,
+};
 pub use queue::DeliveryQueueKind;

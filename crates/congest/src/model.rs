@@ -24,6 +24,21 @@
 //! `change_weight` / `mark` / `unmark`) invalidates exactly the two endpoint
 //! entries it dirtied. Cached and freshly built views are identical by
 //! construction, so caching is invisible to costs and fingerprints.
+//!
+//! Besides the incident-edge vector, each view carries indexes built once
+//! when it is assembled, so their cost is paid once per update rather than
+//! once per wave:
+//!
+//! - the marked degree, for O(1) [`NodeView::tree_degree`];
+//! - a neighbour-sorted index, for O(log deg) [`NodeView::edge_to`];
+//! - a **tree-edge index** (marked edges in `incident` order), so
+//!   [`NodeView::tree_edges`] walks the tree edges only and a wave's down
+//!   messages still go out in `incident` order, the order that drives the
+//!   delay RNG stream;
+//! - a **weight-sorted index** ([`NodeView::by_weight`]), `incident` sorted
+//!   by augmented weight ([`pack_weight`]), so an interval-restricted
+//!   aggregate finds its edges with one binary search instead of a scan of
+//!   every incident edge.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -86,6 +101,26 @@ impl NetworkConfig {
     }
 }
 
+/// A distinct edge weight: raw weight in the high bits, compact edge key
+/// ([`compact_key`]) below.
+pub type AugmentedWeight = u128;
+
+/// The compact key of an edge number: `min_id · 2^id_bits + max_id`.
+/// Injective as long as both IDs fit in `id_bits` bits (guaranteed by
+/// [`Network::id_bits`], with Karp–Rabin compression applied first for
+/// larger ID spaces).
+pub fn compact_key(number: EdgeNumber, id_bits: u32) -> u64 {
+    let bits = id_bits.clamp(1, 32);
+    (number.min_id() << bits) | (number.max_id() & ((1u64 << bits) - 1))
+}
+
+/// Packs a raw weight and an edge number into an augmented weight:
+/// `weight · 2^(2·id_bits) + compact_key`.
+pub fn pack_weight(weight: Weight, number: EdgeNumber, id_bits: u32) -> AugmentedWeight {
+    let bits = id_bits.clamp(1, 32);
+    ((weight as u128) << (2 * bits)) | compact_key(number, bits) as u128
+}
+
 /// One incident edge as seen from a node (KT1 knowledge plus simulation
 /// handles).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,11 +143,13 @@ pub struct IncidentEdge {
 
 /// The complete local knowledge of one node.
 ///
-/// Alongside the incident-edge list the view carries two derived indexes
-/// built once at view-construction time: the marked degree (O(1)
-/// [`NodeView::tree_degree`], consulted by every broadcast-and-echo
-/// activation) and a neighbour-sorted index (O(log deg)
-/// [`NodeView::edge_to`], consulted by the engine for every staged message).
+/// Alongside the incident-edge list the view carries derived indexes built
+/// once at view-construction time (see the module docs): the marked edges in
+/// `incident` order (O(1) [`NodeView::tree_degree`] and a scan-free
+/// [`NodeView::tree_edges`], used by every broadcast-and-echo activation), a
+/// neighbour-sorted index (O(log deg) [`NodeView::edge_to`], consulted by
+/// the engine for every staged message) and a weight-sorted index
+/// ([`NodeView::by_weight`], for interval-restricted aggregates).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeView {
     /// Simulation handle of this node.
@@ -128,8 +165,10 @@ pub struct NodeView {
     pub incident: Vec<IncidentEdge>,
     /// Indices into `incident`, sorted by neighbour handle.
     by_neighbor: Vec<u32>,
-    /// Number of marked incident edges.
-    tree_deg: u32,
+    /// Indices into `incident` of the marked edges, in `incident` order.
+    tree: Vec<u32>,
+    /// Indices into `incident`, sorted by augmented weight.
+    by_weight: Vec<u32>,
 }
 
 impl NodeView {
@@ -143,13 +182,20 @@ impl NodeView {
     ) -> NodeView {
         let mut by_neighbor: Vec<u32> = (0..incident.len() as u32).collect();
         by_neighbor.sort_unstable_by_key(|&i| incident[i as usize].neighbor);
-        let tree_deg = incident.iter().filter(|e| e.marked).count() as u32;
-        NodeView { node, id, n, id_bits, incident, by_neighbor, tree_deg }
+        let tree = (0..incident.len() as u32).filter(|&i| incident[i as usize].marked).collect();
+        // Augmented weights are distinct, so the unstable sort is exact.
+        let mut by_weight: Vec<u32> = (0..incident.len() as u32).collect();
+        by_weight.sort_unstable_by_key(|&i| {
+            let e = &incident[i as usize];
+            pack_weight(e.weight, e.edge_number, id_bits)
+        });
+        NodeView { node, id, n, id_bits, incident, by_neighbor, tree, by_weight }
     }
 
-    /// Incident edges that are currently marked (tree edges).
+    /// Incident edges that are currently marked (tree edges), in `incident`
+    /// order. O(tree degree).
     pub fn tree_edges(&self) -> impl Iterator<Item = &IncidentEdge> {
-        self.incident.iter().filter(|e| e.marked)
+        self.tree.iter().map(|&i| &self.incident[i as usize])
     }
 
     /// Neighbour handles across marked edges (allocation-free).
@@ -159,7 +205,7 @@ impl NodeView {
 
     /// Degree in the marked forest. O(1).
     pub fn tree_degree(&self) -> usize {
-        self.tree_deg as usize
+        self.tree.len()
     }
 
     /// Degree in the whole graph.
@@ -179,6 +225,13 @@ impl NodeView {
     /// The incident edge leading to `neighbor`, if any. O(log deg).
     pub fn edge_to(&self, neighbor: NodeId) -> Option<&IncidentEdge> {
         self.incident_index_to(neighbor).map(|i| &self.incident[i])
+    }
+
+    /// Indices into [`NodeView::incident`] in ascending augmented weight
+    /// (`pack_weight(weight, edge_number, id_bits)`), the order interval
+    /// searches binary-search.
+    pub fn by_weight(&self) -> &[u32] {
+        &self.by_weight
     }
 
     /// 64-bit hash keys of all incident edge numbers (the `E(v)` of §2.1).

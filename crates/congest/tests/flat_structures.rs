@@ -12,12 +12,18 @@
 //!    on the long-lived network (whose view cache has survived arbitrarily
 //!    many invalidation cycles) must produce byte-for-byte the stats a
 //!    freshly constructed network produces — caching must be invisible.
+//!
+//! 3. **`NodeView` indexes.** After seeded mark / unmark / insert / delete
+//!    sequences, the tree-edge index yields exactly the marked incident
+//!    edges in `incident` order, the weight index is a permutation of
+//!    `incident` sorted by augmented weight, and the view the engine hands
+//!    a program (from the cache) equals a freshly built one.
 
 use std::collections::BTreeSet;
 
 use kkt_congest::engine::Outbox;
-use kkt_congest::{Engine, Network, NetworkConfig, Protocol};
-use kkt_graphs::{generators, EdgeId, NodeId};
+use kkt_congest::{pack_weight, Engine, Network, NetworkConfig, NodeView, Protocol};
+use kkt_graphs::{generators, EdgeId, Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -291,6 +297,103 @@ fn cached_network_matches_fresh_network_after_every_event_kind_64_cases() {
             let (_, live_stats) = Engine::run_all(&mut live, |_| Probe).unwrap();
             let (_, fresh_stats) = Engine::run_all(&mut fresh, |_| Probe).unwrap();
             assert_eq!(live_stats, fresh_stats, "case {case} step {step}: engine stats");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// 3. NodeView index invariants
+// ---------------------------------------------------------------------------
+
+/// Keeps a copy of the (cached) view the engine hands the program.
+#[derive(Debug, Default)]
+struct Snapshot {
+    view: Option<NodeView>,
+}
+
+impl Protocol for Snapshot {
+    type Msg = u64;
+    type Output = ();
+
+    fn on_start(&mut self, view: &NodeView, _out: &mut Outbox<u64>) {
+        self.view = Some(view.clone());
+    }
+
+    fn on_message(&mut self, _from: NodeId, _msg: u64, _view: &NodeView, _out: &mut Outbox<u64>) {}
+}
+
+fn check_view_indexes(net: &mut Network, context: &str) {
+    let (programs, _) = Engine::run_all(net, |_| Snapshot::default()).unwrap();
+    for x in 0..net.node_count() {
+        let fresh = net.view(x);
+        let cached = programs.get(x).and_then(|p| p.view.as_ref()).expect("every node started");
+        assert_eq!(cached, &fresh, "{context} node {x}: cached vs fresh view");
+
+        let via_index: Vec<_> = fresh.tree_edges().map(|e| e.edge).collect();
+        let via_scan: Vec<_> = fresh.incident.iter().filter(|e| e.marked).map(|e| e.edge).collect();
+        assert_eq!(via_index, via_scan, "{context} node {x}: tree_edges order");
+        assert_eq!(fresh.tree_degree(), via_scan.len());
+        let neighbors: Vec<NodeId> = fresh.tree_neighbors().collect();
+        let scan_neighbors: Vec<NodeId> =
+            fresh.incident.iter().filter(|e| e.marked).map(|e| e.neighbor).collect();
+        assert_eq!(neighbors, scan_neighbors, "{context} node {x}: tree_neighbors order");
+
+        let order = fresh.by_weight();
+        let mut seen: Vec<u32> = order.to_vec();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..fresh.degree() as u32).collect::<Vec<_>>(), "permutation");
+        let weights: Vec<u128> = order
+            .iter()
+            .map(|&i| {
+                let e = &fresh.incident[i as usize];
+                pack_weight(e.weight, e.edge_number, fresh.id_bits)
+            })
+            .collect();
+        assert!(
+            weights.windows(2).all(|w| w[0] < w[1]),
+            "{context} node {x}: by_weight strictly ascending"
+        );
+    }
+}
+
+#[test]
+fn view_indexes_hold_after_seeded_update_sequences() {
+    for case in 0u64..32 {
+        let mut rng = StdRng::seed_from_u64(0x1DE7 + case);
+        let n = rng.gen_range(6..28);
+        // Odd cases draw IDs just below the 32-bit `id_bits` cap, where the
+        // compact key uses every bit.
+        let ids: Vec<u64> = if case % 2 == 1 {
+            (0..n as u64).map(|i| u32::MAX as u64 - 3 * i).collect()
+        } else {
+            (1..=n as u64).collect()
+        };
+        let mut g = Graph::with_ids(ids);
+        for _ in 0..n * 3 {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            // Few distinct weights, so ties are broken by edge number.
+            g.add_edge(u, v, rng.gen_range(1..6));
+        }
+        let mut net = Network::new(g, NetworkConfig::default());
+        if case % 2 == 1 {
+            assert_eq!(net.id_bits(), 32);
+        }
+        for step in 0..40 {
+            let edges: Vec<EdgeId> = net.graph().live_edges().collect();
+            match rng.gen_range(0..4) {
+                0 if !edges.is_empty() => net.mark(edges[rng.gen_range(0..edges.len())]),
+                1 if !edges.is_empty() => net.unmark(edges[rng.gen_range(0..edges.len())]),
+                2 => {
+                    let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                    net.insert_edge(u, v, rng.gen_range(1..6));
+                }
+                _ if !edges.is_empty() => {
+                    let edge = *net.graph().edge(edges[rng.gen_range(0..edges.len())]);
+                    net.delete_edge(edge.u, edge.v).unwrap();
+                }
+                _ => {}
+            }
+            check_view_indexes(&mut net, &format!("case {case} step {step}"));
         }
     }
 }

@@ -31,7 +31,7 @@ use rand::Rng;
 use crate::config::KktConfig;
 use crate::error::CoreError;
 use crate::hp_test_out::hp_test_out;
-use crate::weights::{resolve_edge, FoundEdge, WeightInterval};
+use crate::weights::{edges_in, resolve_edge, FoundEdge, WeightInterval};
 
 /// Broadcast payload of the prefix-parity step: the pairwise hash function.
 /// Fields are crate-visible so the batched-repair pipeline can drive the same
@@ -81,10 +81,7 @@ impl TreeAggregate for PrefixParity {
     fn local(&self, view: &NodeView, down: &PrefixDown) -> u64 {
         let hash = down.hash();
         let mut word = 0u64;
-        for e in &view.incident {
-            if !down.interval.contains(crate::weights::augmented_weight(view, e)) {
-                continue;
-            }
+        for (_, e) in edges_in(view, &down.interval) {
             let value = hash.eval(crate::weights::compact_key(e.edge_number, view.id_bits));
             // The edge contributes to every prefix level that contains its
             // hash value: levels ℓ with value < 2^ℓ, i.e. ℓ > log2(value).
@@ -138,10 +135,7 @@ impl TreeAggregate for IsolateKeys {
     fn local(&self, view: &NodeView, down: &IsolateDown) -> u64 {
         let hash = down.prefix.hash();
         let mut acc = 0u64;
-        for e in &view.incident {
-            if !down.prefix.interval.contains(crate::weights::augmented_weight(view, e)) {
-                continue;
-            }
+        for (_, e) in edges_in(view, &down.prefix.interval) {
             let key = crate::weights::compact_key(e.edge_number, view.id_bits);
             if hash.in_prefix(key, down.level) {
                 acc ^= key;
@@ -215,10 +209,7 @@ impl TreeAggregate for VerifyCandidate {
 
     fn local(&self, view: &NodeView, down: &VerifyDown) -> VerifyUp {
         let mut up = VerifyUp { endpoints: 0, edge_number: None, weight: 0 };
-        for e in &view.incident {
-            if !down.interval.contains(crate::weights::augmented_weight(view, e)) {
-                continue;
-            }
+        for (_, e) in edges_in(view, &down.interval) {
             if crate::weights::compact_key(e.edge_number, view.id_bits) == down.key {
                 up.endpoints += 1;
                 up.edge_number = Some(e.edge_number.as_u128());

@@ -20,18 +20,25 @@
 //! Edge numbers are folded to 64-bit keys before reduction mod `p`; the
 //! additional collision probability is ≤ B²/2^61 (Karp–Rabin argument, §1 of
 //! the paper), absorbed into the same ε(n).
+//!
+//! Local cost: a node's share of a wave is O(log deg + edges in range). It
+//! binary-searches its weight-sorted edge index ([`NodeView::by_weight`])
+//! and folds only the edges inside the interval. Products are reduced with
+//! the Mersenne fast path of [`kkt_hashing::modular`] (shifts and masks
+//! instead of a `u128` remainder); multiplication mod `p` is commutative, so
+//! the echoed values are those of any other evaluation order.
 
 use kkt_congest::broadcast_echo::{run_broadcast_echo, TreeAggregate};
 use kkt_congest::{BitSized, Network, NodeView};
 use kkt_graphs::NodeId;
-use kkt_hashing::set_equality::EdgeSetPoly;
+use kkt_hashing::modular::{mul_mod_hp, reduce_hp};
 use rand::Rng;
 
 use crate::error::CoreError;
-use crate::weights::{augmented_weight, WeightInterval};
+use crate::weights::{compact_key, edges_in, WeightInterval};
 
 /// The predetermined prime `2^61 − 1` used for the polynomial identity test.
-pub const HP_PRIME: u64 = (1u64 << 61) - 1;
+pub use kkt_hashing::modular::HP_PRIME;
 
 /// Broadcast payload of HP-TestOut: the evaluation point and the interval.
 #[derive(Debug, Clone, Copy)]
@@ -77,32 +84,27 @@ impl TreeAggregate for HpAggregate {
     }
 
     fn local(&self, view: &NodeView, down: &HpDown) -> HpUp {
-        let ctx = EdgeSetPoly::new(HP_PRIME, down.alpha);
-        let in_interval =
-            |e: &kkt_congest::IncidentEdge| down.interval.contains(augmented_weight(view, e));
-        // Out-edges: this node is the smaller-ID endpoint (the tail of the
-        // canonical orientation). In-edges: it is the head.
-        let out_keys = view
-            .incident
-            .iter()
-            .filter(|e| in_interval(e) && view.id < e.neighbor_id)
-            .map(|e| crate::weights::compact_key(e.edge_number, view.id_bits));
-        let in_keys = view
-            .incident
-            .iter()
-            .filter(|e| in_interval(e) && view.id > e.neighbor_id)
-            .map(|e| crate::weights::compact_key(e.edge_number, view.id_bits));
-        HpUp { up_product: ctx.eval(out_keys).value(), down_product: ctx.eval(in_keys).value() }
+        let alpha = reduce_hp(down.alpha as u128);
+        let mut up = HpUp { up_product: 1, down_product: 1 };
+        for (_, e) in edges_in(view, &down.interval) {
+            // The factor `α − key mod p` of the characteristic polynomial.
+            let key = reduce_hp(compact_key(e.edge_number, view.id_bits) as u128);
+            let factor = if alpha >= key { alpha - key } else { alpha + (HP_PRIME - key) };
+            // Out-edges: this node is the smaller-ID endpoint (the tail of the
+            // canonical orientation). In-edges: it is the head.
+            if view.id < e.neighbor_id {
+                up.up_product = mul_mod_hp(up.up_product, factor);
+            } else if view.id > e.neighbor_id {
+                up.down_product = mul_mod_hp(up.down_product, factor);
+            }
+        }
+        up
     }
 
     fn combine(&self, _view: &NodeView, acc: HpUp, child: HpUp) -> HpUp {
         HpUp {
-            up_product: kkt_hashing::modular::mul_mod(acc.up_product, child.up_product, HP_PRIME),
-            down_product: kkt_hashing::modular::mul_mod(
-                acc.down_product,
-                child.down_product,
-                HP_PRIME,
-            ),
+            up_product: mul_mod_hp(acc.up_product, child.up_product),
+            down_product: mul_mod_hp(acc.down_product, child.down_product),
         }
     }
 
@@ -142,6 +144,57 @@ mod tests {
         let mut net = Network::new(g, NetworkConfig::default());
         net.mark_all(&mst.edges);
         net
+    }
+
+    /// The full-scan `local` this module shipped before the weight index:
+    /// every incident edge filtered by interval, products through the
+    /// generic `EdgeSetPoly` (`u128` remainders). Kept as the reference the
+    /// range scan and the Mersenne fast path must reproduce.
+    fn full_scan_local(view: &NodeView, down: &HpDown) -> HpUp {
+        use kkt_hashing::set_equality::EdgeSetPoly;
+        let ctx = EdgeSetPoly::new(HP_PRIME, down.alpha);
+        let in_interval = |e: &kkt_congest::IncidentEdge| {
+            down.interval.contains(crate::weights::augmented_weight(view, e))
+        };
+        let out_keys = view
+            .incident
+            .iter()
+            .filter(|e| in_interval(e) && view.id < e.neighbor_id)
+            .map(|e| compact_key(e.edge_number, view.id_bits));
+        let in_keys = view
+            .incident
+            .iter()
+            .filter(|e| in_interval(e) && view.id > e.neighbor_id)
+            .map(|e| compact_key(e.edge_number, view.id_bits));
+        HpUp { up_product: ctx.eval(out_keys).value(), down_product: ctx.eval(in_keys).value() }
+    }
+
+    #[test]
+    fn range_scan_local_matches_the_full_scan_reference() {
+        use crate::weights::test_views::{intervals_for, seeded_views};
+        let mut rng = StdRng::seed_from_u64(0x4B7E);
+        let (mut calls, mut nontrivial) = (0, 0);
+        for view in seeded_views(0x4B7E) {
+            for interval in intervals_for(&view, &mut rng) {
+                for alpha in [0, 1, HP_PRIME - 1, rng.gen_range(0..HP_PRIME)] {
+                    let agg = HpAggregate { down: HpDown { alpha, interval } };
+                    let got = agg.local(&view, &agg.down);
+                    let want = full_scan_local(&view, &agg.down);
+                    assert_eq!(got, want, "node {} interval {interval:?} α {alpha}", view.id);
+                    // Folding in a second node's echo must agree with the
+                    // generic product too.
+                    let child = HpUp { up_product: rng.gen_range(0..HP_PRIME), down_product: 1 };
+                    let combined = agg.combine(&view, got, child);
+                    assert_eq!(
+                        combined.up_product,
+                        kkt_hashing::modular::mul_mod(got.up_product, child.up_product, HP_PRIME)
+                    );
+                    calls += 1;
+                    nontrivial += usize::from(got != HpUp { up_product: 1, down_product: 1 });
+                }
+            }
+        }
+        assert!(nontrivial > calls / 4, "{nontrivial} of {calls} echoes were non-trivial");
     }
 
     #[test]

@@ -16,6 +16,14 @@
 //! hash functions per sub-interval (derived from one broadcast seed), which is
 //! the "parallel repetitions" amplification mentioned in §2.2 — still one
 //! broadcast-and-echo and a one-word echo as long as `buckets × repeats ≤ 64`.
+//!
+//! Local cost: a node's share of a wave is O(log deg + edges in range). It
+//! binary-searches its weight-sorted edge index ([`NodeView::by_weight`])
+//! for the interval's lower bound and walks only the edges inside; the walk
+//! is in ascending augmented weight, so each edge's sub-interval is found by
+//! a cursor that only moves forward. The hash functions live in a stack
+//! array and are derived only when some edge lies in range, so a wave
+//! allocates nothing per node.
 
 use kkt_congest::broadcast_echo::{run_broadcast_echo, TreeAggregate};
 use kkt_congest::{BitSized, Network, NodeView};
@@ -24,7 +32,7 @@ use kkt_hashing::OddHash;
 use rand::Rng;
 
 use crate::error::CoreError;
-use crate::weights::{augmented_weight, compact_key, WeightInterval};
+use crate::weights::{compact_key, edges_in, WeightInterval};
 
 /// Derives the `rep`-th odd hash function from a broadcast seed. All nodes
 /// apply the same derivation, so one word of shared randomness yields the
@@ -83,23 +91,38 @@ impl TreeAggregate for TestOutAggregate {
     }
 
     fn local(&self, view: &NodeView, down: &TestOutDown) -> u64 {
-        let repeats = down.repeats.max(1);
-        let hashes: Vec<OddHash> = (0..repeats).map(|r| derive_hash(down.seed, r)).collect();
-        let subintervals = down.interval.split(down.buckets);
+        let repeats = down.repeats.max(1) as u64;
+        // Bit `i·repeats + r` only exists below 64, so hashes `r ≥ 64` never
+        // contribute; derive the rest on the first edge in range.
+        let live = repeats.min(64) as usize;
+        let mut hashes = [OddHash::from_parts(0, 0); 64];
+        let mut derived = false;
+        let mut parts = down.interval.parts(down.buckets);
+        let mut part = parts.next();
+        let mut i = 0u64;
         let mut word = 0u64;
-        for edge in &view.incident {
-            let aw = augmented_weight(view, edge);
-            if !down.interval.contains(aw) {
-                continue;
+        // Edges arrive in ascending augmented weight, so the sub-interval
+        // cursor only moves forward.
+        for (aw, edge) in edges_in(view, &down.interval) {
+            while part.is_some_and(|iv| iv.hi < aw) {
+                part = parts.next();
+                i += 1;
             }
-            let Some(i) = subintervals.iter().position(|iv| iv.contains(aw)) else { continue };
+            let base = i * repeats;
+            if base >= 64 {
+                break; // this and every later edge would only set bits ≥ 64
+            }
+            if !derived {
+                for (r, hash) in hashes[..live].iter_mut().enumerate() {
+                    *hash = derive_hash(down.seed, r as u32);
+                }
+                derived = true;
+            }
             let key = compact_key(edge.edge_number, view.id_bits);
-            for (r, hash) in hashes.iter().enumerate() {
+            let in_word = live.min((64 - base) as usize);
+            for (r, hash) in hashes[..in_word].iter().enumerate() {
                 if hash.bit(key) {
-                    let bit = i as u32 * repeats + r as u32;
-                    if bit < 64 {
-                        word ^= 1u64 << bit;
-                    }
+                    word ^= 1u64 << (base + r as u64);
                 }
             }
         }
@@ -210,6 +233,61 @@ mod tests {
         let mut net = Network::new(g, NetworkConfig::default());
         net.mark_all(&marked);
         net
+    }
+
+    /// The full-scan `local` this module shipped before the weight index:
+    /// every incident edge, a linear sub-interval search, allocated hashes
+    /// and pieces. Kept as the reference the range scan must reproduce.
+    fn full_scan_local(view: &NodeView, down: &TestOutDown) -> u64 {
+        let repeats = down.repeats.max(1);
+        let hashes: Vec<OddHash> = (0..repeats).map(|r| derive_hash(down.seed, r)).collect();
+        let subintervals = down.interval.split(down.buckets);
+        let mut word = 0u64;
+        for edge in &view.incident {
+            let aw = crate::weights::augmented_weight(view, edge);
+            if !down.interval.contains(aw) {
+                continue;
+            }
+            let Some(i) = subintervals.iter().position(|iv| iv.contains(aw)) else { continue };
+            let key = compact_key(edge.edge_number, view.id_bits);
+            for (r, hash) in hashes.iter().enumerate() {
+                if hash.bit(key) {
+                    let bit = i as u32 * repeats + r as u32;
+                    if bit < 64 {
+                        word ^= 1u64 << bit;
+                    }
+                }
+            }
+        }
+        word
+    }
+
+    #[test]
+    fn range_scan_local_matches_the_full_scan_reference() {
+        use crate::weights::test_views::{intervals_for, seeded_views};
+        let mut rng = StdRng::seed_from_u64(0x7E57);
+        let (mut calls, mut nonzero, mut full_words) = (0, 0, 0);
+        for view in seeded_views(0x7E57) {
+            for interval in intervals_for(&view, &mut rng) {
+                for buckets in 1..=16u32 {
+                    for repeats in 1..=8u32 {
+                        let down = TestOutDown { seed: rng.gen(), interval, buckets, repeats };
+                        let got = TestOutAggregate { down }.local(&view, &down);
+                        assert_eq!(
+                            got,
+                            full_scan_local(&view, &down),
+                            "node {} interval {interval:?} buckets {buckets} repeats {repeats}",
+                            view.id
+                        );
+                        calls += 1;
+                        nonzero += usize::from(got != 0);
+                        full_words += usize::from(got != 0 && buckets * repeats == 64);
+                    }
+                }
+            }
+        }
+        assert!(nonzero > calls / 4, "{nonzero} of {calls} words were non-zero");
+        assert!(full_words > 0, "buckets × repeats = 64 must set bits");
     }
 
     #[test]

@@ -17,23 +17,12 @@
 //! long, which is what keeps `FindMin`'s narrowing count at
 //! `O(log n / log log n)`.
 
+pub use kkt_congest::{compact_key, pack_weight, AugmentedWeight};
 use kkt_congest::{IncidentEdge, Network, NodeView};
 use kkt_graphs::{EdgeId, EdgeNumber, NodeId, Weight};
 use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
-
-/// A distinct weight: raw weight in the high bits, compact edge key below.
-pub type AugmentedWeight = u128;
-
-/// The compact key of an edge number: `min_id · 2^id_bits + max_id`.
-/// Injective as long as both IDs fit in `id_bits` bits (guaranteed by
-/// [`kkt_congest::Network::id_bits`], with Karp–Rabin compression applied
-/// first for larger ID spaces).
-pub fn compact_key(number: EdgeNumber, id_bits: u32) -> u64 {
-    let bits = id_bits.clamp(1, 32);
-    (number.min_id() << bits) | (number.max_id() & ((1u64 << bits) - 1))
-}
 
 /// Inverts [`compact_key`].
 pub fn key_to_edge_number(key: u64, id_bits: u32) -> EdgeNumber {
@@ -41,15 +30,27 @@ pub fn key_to_edge_number(key: u64, id_bits: u32) -> EdgeNumber {
     EdgeNumber::from_ids(key >> bits, key & ((1u64 << bits) - 1))
 }
 
-/// Packs a raw weight and an edge number into an augmented weight.
-pub fn pack_weight(weight: Weight, number: EdgeNumber, id_bits: u32) -> AugmentedWeight {
-    let bits = id_bits.clamp(1, 32);
-    ((weight as u128) << (2 * bits)) | compact_key(number, bits) as u128
-}
-
 /// Builds the augmented weight of an incident edge from a node's local view.
 pub fn augmented_weight(view: &NodeView, edge: &IncidentEdge) -> AugmentedWeight {
     pack_weight(edge.weight, edge.edge_number, view.id_bits)
+}
+
+/// The incident edges of `view` whose augmented weight lies in `interval`,
+/// in ascending augmented weight, each with that weight. One binary search
+/// on [`NodeView::by_weight`] plus a walk over the edges in range:
+/// O(log deg + edges in range), however many edges lie outside.
+pub fn edges_in<'v>(
+    view: &'v NodeView,
+    interval: &WeightInterval,
+) -> impl Iterator<Item = (AugmentedWeight, &'v IncidentEdge)> + 'v {
+    let order = view.by_weight();
+    let weight_at = move |i: u32| {
+        let edge = &view.incident[i as usize];
+        (augmented_weight(view, edge), edge)
+    };
+    let start = order.partition_point(|&i| weight_at(i).0 < interval.lo);
+    let hi = interval.hi;
+    order[start..].iter().map(move |&i| weight_at(i)).take_while(move |&(aw, _)| aw <= hi)
 }
 
 /// An inclusive interval of augmented weights (the `[j, k]` of the paper).
@@ -106,29 +107,57 @@ impl WeightInterval {
     /// broadcast `(lo, hi, parts)`, which is what lets one echo word answer
     /// all sub-interval TestOuts at once.
     pub fn split(&self, parts: u32) -> Vec<WeightInterval> {
+        self.parts(parts).collect()
+    }
+
+    /// The pieces of [`WeightInterval::split`], in order, without
+    /// allocating.
+    pub fn parts(&self, parts: u32) -> Parts {
         let parts = parts.max(1) as u128;
         let width = self.width();
         // Ceiling division without overflowing near u128::MAX.
         let chunk = (width / parts + if width.is_multiple_of(parts) { 0 } else { 1 }).max(1);
-        let mut out = Vec::new();
-        let mut lo = self.lo;
-        for part in 0..parts {
-            if lo > self.hi {
-                break;
-            }
-            // The last piece always extends to the upper bound, which also
-            // absorbs the rounding slack of the saturated width computation.
-            let hi =
-                if part + 1 == parts { self.hi } else { lo.saturating_add(chunk - 1).min(self.hi) };
-            out.push(WeightInterval { lo, hi });
-            if hi == self.hi {
-                break;
-            }
-            lo = hi + 1;
-        }
-        out
+        Parts { next_lo: (self.lo <= self.hi).then_some(self.lo), hi: self.hi, chunk, left: parts }
     }
 }
+
+/// Iterator over the pieces of a split interval (see
+/// [`WeightInterval::parts`]).
+#[derive(Debug, Clone)]
+pub struct Parts {
+    /// Lower bound of the next piece; `None` once the upper bound is reached.
+    next_lo: Option<AugmentedWeight>,
+    hi: AugmentedWeight,
+    chunk: u128,
+    left: u128,
+}
+
+impl Iterator for Parts {
+    type Item = WeightInterval;
+
+    fn next(&mut self) -> Option<WeightInterval> {
+        let lo = self.next_lo?;
+        self.left -= 1;
+        // The last piece always extends to the upper bound, which also
+        // absorbs the rounding slack of the saturated width computation.
+        let hi =
+            if self.left == 0 { self.hi } else { lo.saturating_add(self.chunk - 1).min(self.hi) };
+        self.next_lo = if hi == self.hi { None } else { Some(hi + 1) };
+        Some(WeightInterval { lo, hi })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        // Full chunks from `next_lo` cover the rest in ⌈span / chunk⌉ pieces,
+        // unless the piece budget runs out first.
+        let left = match self.next_lo {
+            Some(lo) => ((self.hi - lo) / self.chunk + 1).min(self.left) as usize,
+            None => 0,
+        };
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Parts {}
 
 /// An edge identified by a search primitive, described purely in terms of
 /// knowledge the endpoints hold (edge number + raw weight), plus the
@@ -157,6 +186,77 @@ pub fn resolve_edge(net: &Network, number: EdgeNumber) -> Result<FoundEdge, Core
         .ok_or_else(|| CoreError::Internal(format!("no node with ID {}", number.max_id())))?;
     let edge = g.edge_between(u, v).ok_or(CoreError::NoSuchEdge { u, v })?;
     Ok(FoundEdge { edge_number: number, weight: g.edge(edge).weight, edge, endpoints: (u, v) })
+}
+
+/// Seeded random views and interval families for the differential tests of
+/// the interval-restricted aggregates.
+#[cfg(test)]
+pub(crate) mod test_views {
+    use super::*;
+    use kkt_congest::NetworkConfig;
+    use kkt_graphs::Graph;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Views of a few nodes of random graphs: small IDs, spread IDs, and
+    /// IDs just below the 32-bit `id_bits` cap; narrow weight ranges (ties
+    /// broken by edge number) and wide ones.
+    pub(crate) fn seeded_views(seed: u64) -> Vec<NodeView> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut views = Vec::new();
+        for case in 0..6u64 {
+            let n = rng.gen_range(8..40);
+            let ids: Vec<u64> = match case % 3 {
+                0 => (1..=n as u64).collect(),
+                1 => (0..n as u64).map(|i| 1 + i * 7919 + (i * i) % 13).collect(),
+                _ => (0..n as u64).map(|i| u32::MAX as u64 - 5 * i).collect(),
+            };
+            let max_weight = if case < 3 { 6 } else { 1 << 40 };
+            let mut g = Graph::with_ids(ids);
+            for _ in 0..n * 5 {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                g.add_edge(u, v, rng.gen_range(1..=max_weight));
+            }
+            let net = Network::new(g, NetworkConfig::default());
+            for _ in 0..4 {
+                views.push(net.view(rng.gen_range(0..n)));
+            }
+        }
+        views
+    }
+
+    /// Intervals exercising a view: everything, raw-weight prefixes, narrow
+    /// ranges and singletons around its edges, and ranges holding none of
+    /// them (below, between and above its edges' augmented weights).
+    pub(crate) fn intervals_for(view: &NodeView, rng: &mut StdRng) -> Vec<WeightInterval> {
+        let mut aws: Vec<AugmentedWeight> =
+            view.incident.iter().map(|e| augmented_weight(view, e)).collect();
+        aws.sort_unstable();
+        let mut out = vec![WeightInterval::everything()];
+        let max_raw = view.incident.iter().map(|e| e.weight).max().unwrap_or(1);
+        out.push(WeightInterval::up_to_raw(rng.gen_range(0..=max_raw), view.id_bits));
+        out.push(WeightInterval::up_to_raw(max_raw, view.id_bits));
+        if let (Some(&first), Some(&last)) = (aws.first(), aws.last()) {
+            let pick = aws[rng.gen_range(0..aws.len())];
+            out.push(WeightInterval::new(pick, pick));
+            out.push(WeightInterval::new(
+                pick.saturating_sub(3),
+                pick + rng.gen_range(0..1u128 << 20),
+            ));
+            out.push(WeightInterval::new(first, last));
+            out.push(WeightInterval::new(last + 1, u128::MAX));
+            if first > 0 {
+                out.push(WeightInterval::new(0, first - 1));
+            }
+            if let Some(gap) = aws.windows(2).find(|w| w[1] > w[0] + 1) {
+                out.push(WeightInterval::new(gap[0] + 1, gap[1] - 1));
+                out.push(WeightInterval::new(gap[0] + 1, gap[0] + 1));
+            }
+            let (a, b) = (rng.gen_range(first..=last), rng.gen_range(first..=last));
+            out.push(WeightInterval::new(a, b));
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -226,6 +326,52 @@ mod tests {
         let bounded = WeightInterval::up_to_raw(7, 10);
         assert!(bounded.contains(pack_weight(7, EdgeNumber::from_ids(1, 2), 10)));
         assert!(!bounded.contains(pack_weight(8, EdgeNumber::from_ids(1, 2), 10)));
+    }
+
+    #[test]
+    fn edges_in_matches_a_filtered_sorted_scan() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(0xED6E);
+        let mut nonempty = 0;
+        for view in test_views::seeded_views(0xED6E) {
+            for iv in test_views::intervals_for(&view, &mut rng) {
+                let mut scan: Vec<_> = view
+                    .incident
+                    .iter()
+                    .map(|e| (augmented_weight(&view, e), e.edge))
+                    .filter(|&(aw, _)| iv.contains(aw))
+                    .collect();
+                scan.sort_unstable();
+                let ranged: Vec<_> = edges_in(&view, &iv).map(|(aw, e)| (aw, e.edge)).collect();
+                assert_eq!(ranged, scan, "interval {iv:?}");
+                nonempty += usize::from(!ranged.is_empty());
+            }
+        }
+        assert!(nonempty > 50, "the families must hit edges ({nonempty})");
+    }
+
+    #[test]
+    fn parts_yields_the_pieces_of_split() {
+        for iv in [
+            WeightInterval::new(10, 109),
+            WeightInterval::new(5, 5),
+            WeightInterval::new(0, 6),
+            WeightInterval::everything(),
+            WeightInterval::new(u128::MAX - 10, u128::MAX),
+        ] {
+            for parts in [1u32, 2, 3, 7, 16, 64, 200] {
+                let pieces: Vec<_> = iv.parts(parts).collect();
+                assert_eq!(pieces, iv.split(parts));
+                let mut it = iv.parts(parts);
+                for left in (0..=pieces.len()).rev() {
+                    assert_eq!(it.len(), left, "exact size");
+                    it.next();
+                }
+                assert!(pieces.len() <= parts as usize);
+                assert_eq!((pieces[0].lo, pieces.last().unwrap().hi), (iv.lo, iv.hi));
+            }
+        }
     }
 
     #[test]

@@ -3,6 +3,35 @@
 //! `HP-TestOut` evaluates products of linear factors over `Z_p` along the
 //! broadcast-and-echo tree; these helpers keep every intermediate inside
 //! `u128` so the computation is exact for any prime below `2^63`.
+//!
+//! For the Mersenne prime [`HP_PRIME`] `= 2^61 − 1` that HP-TestOut uses,
+//! [`reduce_hp`] and [`mul_mod_hp`] replace the `u128` division by shifts
+//! and masks: `2^61 ≡ 1 (mod p)`, so `x = hi·2^61 + lo ≡ hi + lo`.
+
+/// The Mersenne prime `2^61 − 1`, HP-TestOut's predetermined modulus.
+pub const HP_PRIME: u64 = (1u64 << 61) - 1;
+
+/// `x mod HP_PRIME` for any `u128`, by two Mersenne folds and one
+/// conditional subtraction. Equal to `(x % HP_PRIME as u128) as u64`.
+#[inline]
+pub fn reduce_hp(x: u128) -> u64 {
+    const P: u128 = HP_PRIME as u128;
+    // First fold: < 2^61 + 2^67. Second fold: <= p + 64 < 2p.
+    let x = (x & P) + (x >> 61);
+    let x = ((x & P) + (x >> 61)) as u64;
+    if x >= HP_PRIME {
+        x - HP_PRIME
+    } else {
+        x
+    }
+}
+
+/// `(a * b) mod HP_PRIME` without a division. Equal to
+/// `mul_mod(a, b, HP_PRIME)` for all `a`, `b`.
+#[inline]
+pub fn mul_mod_hp(a: u64, b: u64) -> u64 {
+    reduce_hp((a as u128) * (b as u128))
+}
 
 /// `(a + b) mod m`.
 pub fn add_mod(a: u64, b: u64, m: u64) -> u64 {
@@ -92,6 +121,31 @@ mod tests {
             }
         }
         assert_eq!(pow_mod(5, 100, 1), 0);
+    }
+
+    #[test]
+    fn mersenne_fast_path_matches_the_generic_reduction() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let p = HP_PRIME;
+        let edges = [0u64, 1, p - 1, p, u64::MAX];
+        for &a in &edges {
+            assert_eq!(reduce_hp(a as u128), a % p, "reduce {a}");
+            for &b in &edges {
+                assert_eq!(mul_mod_hp(a, b), mul_mod(a, b, p), "{a} * {b}");
+            }
+        }
+        assert_eq!(reduce_hp(u128::MAX), (u128::MAX % p as u128) as u64);
+        let mut rng = StdRng::seed_from_u64(0x61);
+        for _ in 0..10_000 {
+            let (a, b): (u64, u64) = (rng.gen(), rng.gen());
+            assert_eq!(mul_mod_hp(a, b), mul_mod(a, b, p), "{a} * {b}");
+            assert_eq!(reduce_hp(a as u128), a % p, "reduce {a}");
+            // Operands already reduced, the shape HP-TestOut folds.
+            let (a, b) = (a % p, b % p);
+            assert_eq!(mul_mod_hp(a, b), mul_mod(a, b, p), "{a} * {b} reduced");
+        }
     }
 
     #[test]
