@@ -1,11 +1,12 @@
 //! Golden cost digests: the simulated cost of every replay cell of the
-//! exp9/exp10/exp11/exp13/exp14 quick presets, pinned in
+//! exp9/exp10/exp11/exp13/exp14 quick presets and of a quick spanning-tree
+//! grid (`st`), plus the stdout of the exp1–exp8 quick tables, pinned in
 //! `tests/golden/cost_digests.txt`.
 //!
-//! A manifest line is `exp policy n m scenario seed digest`, where `digest`
+//! A cell line is `exp policy n m scenario seed digest`, where `digest`
 //! is the 64-bit FNV-1a of the cell's canonical cost line:
 //!
-//! * replay cells (exp9–exp13):
+//! * replay cells (exp9–exp13, st):
 //!   `"{policy} {n} {m} {scenario} {seed} build={bits},{messages},{time} events={bits},{messages},{time};…\n"`
 //! * anatomy cells (exp14):
 //!   `"{policy} {n} {m} {scenario} {seed} delivery={bits},{messages},{time},{broadcast_echoes} broadcast_echo=… …\n"`
@@ -16,19 +17,44 @@
 //! (bits, messages or time of any event, or of the initial build) breaks it.
 //! Each experiment's aggregate — FNV-1a over its canonical lines, sorted and
 //! concatenated — is pinned here as well.
+//!
+//! A table line is `exp quick_stdout seed digest`: the FNV-1a of exactly
+//! what the exp1–exp8 binary prints to stdout at the quick scale. Those
+//! tables report construction and repair costs, FindMin iteration counts
+//! and TestOut/FindAny success rates, so they pin the sequential searches
+//! outside the replay harness too.
 
-use kkt::workloads::fnv1a64;
-use kkt_bench::{experiments, CellRecord, GridReport, Scale, DEFAULT_SEED};
+use kkt::workloads::{fnv1a64, standard_suite, MaintenancePolicy, SuiteParams};
+use kkt::TreeKind;
+use kkt_bench::{
+    experiments, run_grid, CellRecord, GridReport, GridSpec, Scale, Table, DEFAULT_SEED,
+};
 
 const MANIFEST: &str = include_str!("golden/cost_digests.txt");
 
 /// `(exp, cells, aggregate digest)` of the quick presets at [`DEFAULT_SEED`].
-const AGGREGATES: [(&str, usize, &str); 5] = [
+const AGGREGATES: [(&str, usize, &str); 6] = [
     ("exp9", 20, "ea094b65f4f9c386"),
     ("exp10", 12, "5beb2856473d77db"),
     ("exp11", 16, "ebaa78a4f46e78c4"),
     ("exp13", 96, "18d5bd3e45b20a29"),
     ("exp14", 96, "39cd3f1c3fb26639"),
+    ("st", 20, "b60d949cd8c68ac5"),
+];
+
+/// An exp1–exp8 table preset.
+type TablePreset = fn(Scale, u64) -> Table;
+
+/// The exp1–exp8 quick tables, in manifest order.
+const TABLES: [(&str, TablePreset); 8] = [
+    ("exp1", experiments::exp1_mst_construction),
+    ("exp2", experiments::exp2_st_construction),
+    ("exp3", experiments::exp3_mst_repair),
+    ("exp4", experiments::exp4_st_repair),
+    ("exp5", experiments::exp5_testout_probability),
+    ("exp6", experiments::exp6_find_primitives),
+    ("exp7", experiments::exp7_superpoly_weights),
+    ("exp8", experiments::exp8_density_crossover),
 ];
 
 /// One replay cell's canonical cost line.
@@ -99,11 +125,15 @@ fn check(exp: &str, lines: &[String]) {
 fn manifest_covers_exactly_the_pinned_experiments() {
     for line in MANIFEST.lines() {
         let fields: Vec<&str> = line.split(' ').collect();
-        assert_eq!(fields.len(), 7, "malformed manifest line: {line}");
-        assert!(AGGREGATES.iter().any(|(exp, _, _)| *exp == fields[0]), "{line}");
+        let known = match fields.len() {
+            7 => AGGREGATES.iter().any(|(exp, _, _)| *exp == fields[0]),
+            4 => fields[1] == "quick_stdout" && TABLES.iter().any(|(exp, _)| *exp == fields[0]),
+            _ => false,
+        };
+        assert!(known, "malformed manifest line: {line}");
     }
     let total: usize = AGGREGATES.iter().map(|(_, cells, _)| cells).sum();
-    assert_eq!(MANIFEST.lines().count(), total);
+    assert_eq!(MANIFEST.lines().count(), total + TABLES.len());
 }
 
 #[test]
@@ -134,4 +164,34 @@ fn exp13_costs_match_the_manifest() {
 fn exp14_costs_match_the_manifest() {
     let (_, report) = experiments::exp14_cost_anatomy(Scale::Quick, DEFAULT_SEED, None, 2);
     check("exp14", &lines(&report, anatomy_line));
+}
+
+/// Every spanning-tree policy on the standard scenarios at the exp9 quick
+/// rung: impromptu repair runs `find_any`, batched repair the stepping
+/// `FindAny`, `rebuild_kkt` runs `build_st` (FindAny-C), plus the flooding
+/// rebuild. No exp9–exp14 preset maintains a spanning tree.
+#[test]
+fn st_costs_match_the_manifest() {
+    let rung = SuiteParams { events: 12, kind: TreeKind::St, ..SuiteParams::default() };
+    let spec = GridSpec {
+        rungs: vec![rung],
+        scenarios: standard_suite(rung.max_weight),
+        policies: MaintenancePolicy::all_for(TreeKind::St),
+        seeds: vec![DEFAULT_SEED],
+    };
+    check("st", &lines(&run_grid(&spec, 2), replay_line));
+}
+
+#[test]
+fn exp1_to_exp8_stdout_matches_the_manifest() {
+    for (exp, table) in TABLES {
+        // What the binary prints: `println!("{table}")`.
+        let stdout = format!("{}\n", table(Scale::Quick, DEFAULT_SEED));
+        let got = format!("{exp} quick_stdout {DEFAULT_SEED} {:016x}", fnv1a64(stdout.as_bytes()));
+        let expected = MANIFEST
+            .lines()
+            .find(|l| l.split(' ').next() == Some(exp))
+            .unwrap_or_else(|| panic!("{exp}: no manifest entry"));
+        assert_eq!(got, expected, "{exp}: quick table output moved");
+    }
 }
