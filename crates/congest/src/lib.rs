@@ -9,7 +9,7 @@
 //!   currently *marked* (tree edges of the maintained forest), and `n`. Nothing
 //!   else — node programs only ever see a [`NodeView`].
 //! * **CONGEST bandwidth.** Every message is charged its size in bits and the
-//!   engine can enforce a `O(log(n + u))`-bit cap ([`Network::bandwidth_limit`]).
+//!   engine can enforce a `O(log(n + u))`-bit cap ([`NetworkConfig::bandwidth_limit`]).
 //! * **Synchrony and asynchrony.** One event-driven [`engine::Engine`] covers
 //!   both: the [`engine::Scheduler::Synchronous`] scheduler delivers every
 //!   message exactly one time unit after it is sent (a global round clock),

@@ -21,8 +21,13 @@
 //! `FindAny` retries attempts until success (expected 16 ≈ O(1) attempts,
 //! capped at `16·ln ε(n)^{-1}`); `FindAny-C` performs a single attempt, so its
 //! worst-case cost matches `FindAny`'s expected cost (Lemma 5).
+//!
+//! This module holds the entry points and the per-step aggregates. The step
+//! sequence itself is the `AnySearch` state machine of `crate::search`, the
+//! same one the batched repair pipeline drives concurrently over many
+//! fragments; the entry points here drive it over one tree.
 
-use kkt_congest::broadcast_echo::{run_broadcast_echo, TreeAggregate};
+use kkt_congest::broadcast_echo::TreeAggregate;
 use kkt_congest::{BitSized, Network, NodeView, Phase};
 use kkt_graphs::{EdgeNumber, NodeId};
 use kkt_hashing::PairwiseHash;
@@ -30,12 +35,10 @@ use rand::Rng;
 
 use crate::config::KktConfig;
 use crate::error::CoreError;
-use crate::hp_test_out::hp_test_out;
+use crate::search::{AnySearch, Search, SearchVerdict};
 use crate::weights::{edges_in, resolve_edge, FoundEdge, WeightInterval};
 
 /// Broadcast payload of the prefix-parity step: the pairwise hash function.
-/// Fields are crate-visible so the batched-repair pipeline can drive the same
-/// aggregates step by step (see `crate::batch`).
 #[derive(Debug, Clone, Copy)]
 pub struct PrefixDown {
     pub(crate) a: u64,
@@ -185,17 +188,7 @@ impl BitSized for VerifyUp {
 /// final identification step.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct VerifyCandidate {
-    down: VerifyDown,
-}
-
-impl VerifyCandidate {
-    pub(crate) fn by_key(key: u64, interval: WeightInterval) -> Self {
-        VerifyCandidate { down: VerifyDown { key, interval } }
-    }
-
-    pub(crate) fn from_down(down: VerifyDown) -> Self {
-        VerifyCandidate { down }
-    }
+    pub(crate) down: VerifyDown,
 }
 
 impl TreeAggregate for VerifyCandidate {
@@ -240,40 +233,9 @@ impl TreeAggregate for VerifyCandidate {
     }
 }
 
-/// One isolation attempt (steps 3–5 of the paper). Returns the found edge, or
-/// `None` if the attempt failed (no level isolated a single cut edge).
-fn attempt<R: Rng + ?Sized>(
-    net: &mut Network,
-    root: NodeId,
-    interval: WeightInterval,
-    degree_bound: u64,
-    rng: &mut R,
-) -> Result<Option<FoundEdge>, CoreError> {
-    let range = (2 * degree_bound.max(2)).next_power_of_two();
-    let hash = PairwiseHash::random(range, rng);
-    let down = PrefixDown { a: rng.gen::<u64>() | 1, b: rng.gen(), range, interval };
-    // Re-derive the hash actually broadcast (from_parts normalises `a`).
-    let down = PrefixDown { a: down.a, b: down.b, range: hash.range().max(down.range), ..down };
-    let word = run_broadcast_echo(net, root, PrefixParity { down })?;
-    if word == 0 {
-        return Ok(None);
-    }
-    let min_level = word.trailing_zeros();
-    let isolate = IsolateDown { prefix: down, level: min_level };
-    let candidate = run_broadcast_echo(net, root, IsolateKeys { down: isolate })?;
-    if candidate == 0 {
-        return Ok(None);
-    }
-    let verify = VerifyCandidate::by_key(candidate, interval);
-    match run_broadcast_echo(net, root, verify)? {
-        Some((number, _weight, 1)) => Ok(Some(resolve_edge(net, number)?)),
-        _ => Ok(None),
-    }
-}
-
-/// Shared implementation of `FindAny` / `FindAny-C`. The emptiness check and
-/// every isolation attempt bill to [`Phase::FindAnySample`] (attribution
-/// only; costs and coin flips are unchanged).
+/// Shared implementation of `FindAny` / `FindAny-C`: the stepping
+/// [`AnySearch`] with at most `attempts` isolation attempts. The emptiness
+/// check and every attempt bill to [`Phase::FindAnySample`].
 fn find_any_impl<R: Rng + ?Sized>(
     net: &mut Network,
     root: NodeId,
@@ -282,21 +244,11 @@ fn find_any_impl<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<Option<FoundEdge>, CoreError> {
     net.span(Phase::FindAnySample, |net| {
-        // Step 2: w.h.p. emptiness check; "∅" answers are then always correct.
-        if !hp_test_out(net, root, interval, rng)? {
-            return Ok(None);
+        let mut search = AnySearch::new(net.node_count(), interval, attempts);
+        match search.run(net, root, rng)? {
+            SearchVerdict::Found(number) => Ok(Some(resolve_edge(net, number)?)),
+            SearchVerdict::NoLeavingEdge | SearchVerdict::GaveUp => Ok(None),
         }
-        // The pairwise hash range must exceed the sum of tree degrees; that
-        // sum is below n², which every node knows (KT1), so no extra
-        // broadcast-and-echo is needed to size the hash.
-        let n = net.node_count() as u64;
-        let degree_bound = n.saturating_mul(n.saturating_sub(1)).max(2);
-        for _ in 0..attempts.max(1) {
-            if let Some(found) = attempt(net, root, interval, degree_bound, rng)? {
-                return Ok(Some(found));
-            }
-        }
-        Ok(None)
     })
 }
 

@@ -15,6 +15,12 @@
 //! `FindMin` retries until the w.h.p. budget is exhausted; `FindMin-C` uses a
 //! budget of twice the expectation, so its *worst case* matches `FindMin`'s
 //! expected cost at the price of a constant failure probability (Lemma 2).
+//!
+//! This module holds the entry points and their outcome types. After the
+//! statistics wave, the search itself is the `MinSearch` state machine of
+//! `crate::search`, the same one the batched repair pipeline drives
+//! concurrently over many fragments; the entry points here drive it over one
+//! tree with their own budget.
 
 use kkt_congest::broadcast_echo::{run_broadcast_echo, TreeStats};
 use kkt_congest::{Histogram, Network, Phase};
@@ -23,10 +29,8 @@ use rand::Rng;
 
 use crate::config::KktConfig;
 use crate::error::CoreError;
-use crate::find_any::VerifyCandidate;
-use crate::hp_test_out::hp_test_out;
-use crate::test_out::wide_test_out;
-use crate::weights::{resolve_edge, FoundEdge, WeightInterval};
+use crate::search::{MinSearch, Search, SearchVerdict};
+use crate::weights::{resolve_edge, FoundEdge};
 
 /// Outcome of a [`find_min`] / [`find_min_c`] call, distinguishing "there is
 /// certainly no leaving edge" from "the bounded variant gave up".
@@ -62,6 +66,9 @@ pub struct FindMinTrace {
     pub narrowings: u32,
 }
 
+/// The statistics wave, then the stepping [`MinSearch`] with at most `budget`
+/// iterations. Only this sequential path observes the
+/// `findmin_narrowing_iterations` histogram.
 fn find_min_impl<R: Rng + ?Sized>(
     net: &mut Network,
     root: NodeId,
@@ -72,88 +79,22 @@ fn find_min_impl<R: Rng + ?Sized>(
     // The whole narrowing search — statistics wave, TestOut iterations,
     // identification — bills to one phase; attribution only, costs unchanged.
     net.span(Phase::FindMinNarrow, |net| {
-        let out = find_min_inner(net, root, budget, config, rng)?;
+        // Step 2: learn maxWt(T) (and the degree sum) in one broadcast-and-echo.
+        let stats = run_broadcast_echo(net, root, TreeStats)?;
+        let (n, id_bits) = (net.node_count(), net.id_bits());
+        let mut search = MinSearch::new(&stats, n, id_bits, budget, config);
+        let outcome = match search.run(net, root, rng)? {
+            SearchVerdict::Found(number) => FindMinOutcome::Found(resolve_edge(net, number)?),
+            SearchVerdict::NoLeavingEdge => FindMinOutcome::NoLeavingEdge,
+            SearchVerdict::GaveUp => FindMinOutcome::BudgetExhausted,
+        };
+        let trace = search.trace();
         if let Some(metrics) = net.metrics_mut() {
             let bounds = Histogram::pow2_bounds(10);
-            metrics.observe("findmin_narrowing_iterations", &bounds, u64::from(out.1.iterations));
+            metrics.observe("findmin_narrowing_iterations", &bounds, u64::from(trace.iterations));
         }
-        Ok(out)
+        Ok((outcome, trace))
     })
-}
-
-fn find_min_inner<R: Rng + ?Sized>(
-    net: &mut Network,
-    root: NodeId,
-    budget: u32,
-    config: &KktConfig,
-    rng: &mut R,
-) -> Result<(FindMinOutcome, FindMinTrace), CoreError> {
-    let mut trace = FindMinTrace::default();
-    // Step 2: learn maxWt(T) (and fragment size) in one broadcast-and-echo.
-    let stats = run_broadcast_echo(net, root, TreeStats)?;
-    if stats.degree_sum == 0 {
-        // No incident edges at all: certainly nothing leaves the tree.
-        return Ok((FindMinOutcome::NoLeavingEdge, trace));
-    }
-    let w = config.effective_word_width(net.node_count());
-    let id_bits = net.id_bits();
-    let mut interval = WeightInterval::up_to_raw(stats.max_weight, id_bits);
-
-    for _ in 0..budget.max(1) {
-        trace.iterations += 1;
-        let wide = wide_test_out(net, root, interval, w, config.testout_repeats, rng)?;
-        match wide.min_positive() {
-            None => {
-                // Nothing detected: either the cut (within the interval) is
-                // empty, or TestOut missed. Resolve w.h.p. with HP-TestOut.
-                if !hp_test_out(net, root, interval, rng)? {
-                    return Ok((FindMinOutcome::NoLeavingEdge, trace));
-                }
-            }
-            Some(i) => {
-                let sub = wide.subintervals[i];
-                // Verify no cut edge lies strictly below the flagged
-                // sub-interval (otherwise TestOut missed the lighter one).
-                let lighter_exists = if sub.lo > interval.lo {
-                    hp_test_out(net, root, WeightInterval::new(interval.lo, sub.lo - 1), rng)?
-                } else {
-                    false
-                };
-                if lighter_exists {
-                    continue;
-                }
-                // Verify the flagged sub-interval really holds a cut edge
-                // (HP-TestOut errs towards "no" with negligible probability).
-                if !hp_test_out(net, root, sub, rng)? {
-                    continue;
-                }
-                interval = sub;
-                trace.narrowings += 1;
-                if interval.is_singleton() {
-                    return Ok((identify(net, root, interval, id_bits)?, trace));
-                }
-            }
-        }
-    }
-    Ok((FindMinOutcome::BudgetExhausted, trace))
-}
-
-/// Final step: the interval is a single augmented weight; one more
-/// broadcast-and-echo retrieves the full edge number from the tree endpoint
-/// that owns the edge.
-fn identify(
-    net: &mut Network,
-    root: NodeId,
-    singleton: WeightInterval,
-    id_bits: u32,
-) -> Result<FindMinOutcome, CoreError> {
-    debug_assert!(singleton.is_singleton());
-    let key = (singleton.lo & ((1u128 << (2 * id_bits.clamp(1, 32))) - 1)) as u64;
-    let verify = VerifyCandidate::by_key(key, singleton);
-    match run_broadcast_echo(net, root, verify)? {
-        Some((number, _weight, 1)) => Ok(FindMinOutcome::Found(resolve_edge(net, number)?)),
-        _ => Ok(FindMinOutcome::BudgetExhausted),
-    }
 }
 
 /// `FindMin(x)`: the lightest edge leaving the marked tree containing `root`,
@@ -201,7 +142,7 @@ pub fn find_min_traced<R: Rng + ?Sized>(
 
 /// Number of bits of the augmented-weight universe for this network (raw
 /// weight bits + 64 tie-break bits), used to size retry budgets.
-fn weight_bits(net: &Network) -> u32 {
+pub(crate) fn weight_bits(net: &Network) -> u32 {
     let raw_bits = 64 - net.graph().max_weight().leading_zeros();
     raw_bits + 2 * net.id_bits()
 }
@@ -334,6 +275,24 @@ mod tests {
             expected_narrowings
         );
         assert!(trace.iterations <= 8 * trace.narrowings.max(1));
+    }
+
+    #[test]
+    fn an_exhausted_budget_reports_exactly_the_budget() {
+        // The fragment needs several narrowings, so budgets of 1 and 2 run out.
+        let mut net = partial_network(64, 0.1, 30, 9);
+        let mut rng = StdRng::seed_from_u64(10);
+        let (_, full) = find_min_traced(&mut net, 0, &cfg(), &mut rng).unwrap();
+        assert!(full.narrowings > 2, "{full:?}");
+        for budget in [1, 2] {
+            net.enable_metrics();
+            let (outcome, trace) = find_min_impl(&mut net, 0, budget, &cfg(), &mut rng).unwrap();
+            assert_eq!(outcome, FindMinOutcome::BudgetExhausted);
+            assert_eq!(trace.iterations, budget);
+            let metrics = net.take_metrics().unwrap();
+            let iterations = metrics.histogram("findmin_narrowing_iterations").unwrap();
+            assert_eq!((iterations.count(), iterations.sum()), (1, u64::from(budget)));
+        }
     }
 
     #[test]

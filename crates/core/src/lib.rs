@@ -17,14 +17,17 @@
 //!
 //! ## Layout
 //!
-//! * Primitives: [`test_out`] (constant-probability cut detection),
-//!   [`hp_test_out`] (w.h.p. cut detection via polynomial identity testing),
-//!   [`find_any`] (some outgoing edge, expected O(1) broadcast-and-echoes),
-//!   [`find_min`] (the minimum outgoing edge, `O(log n / log log n)`
-//!   broadcast-and-echoes).
-//! * Construction: [`build_mst`], [`build_st`] (Borůvka phases driven by the
-//!   primitives).
-//! * Dynamics: [`repair`] (impromptu delete/insert/weight-change repairs).
+//! * Primitives: [`test_out`](mod@test_out) (constant-probability cut
+//!   detection), [`hp_test_out`](mod@hp_test_out) (w.h.p. cut detection via
+//!   polynomial identity testing), [`find_any`](mod@find_any) (some outgoing
+//!   edge, expected O(1) broadcast-and-echoes), [`find_min`](mod@find_min)
+//!   (the minimum outgoing edge, `O(log n / log log n)`
+//!   broadcast-and-echoes). `FindMin` and `FindAny` are each one stepping
+//!   search, which every caller below drives.
+//! * Construction: [`build_mst`](mod@build_mst), [`build_st`](mod@build_st)
+//!   (Borůvka phases driven by the primitives).
+//! * Dynamics: [`repair`] (impromptu delete/insert/weight-change repairs)
+//!   and [`batch`] (one pipelined repair of every cut in a burst).
 //! * Public API: [`MaintainedForest`] wraps all of the above behind a
 //!   build / update / verify interface.
 //!
@@ -57,6 +60,7 @@ pub mod find_min;
 pub mod hp_test_out;
 pub mod maintained;
 pub mod repair;
+mod search;
 pub mod test_out;
 pub mod weights;
 

@@ -27,7 +27,7 @@ use rand::Rng;
 use crate::config::KktConfig;
 use crate::error::CoreError;
 use crate::find_any::find_any;
-use crate::find_min::{find_min, FindMinOutcome};
+use crate::find_min::find_min;
 use crate::weights::{augmented_weight, FoundEdge};
 
 /// Outcome of processing an edge deletion (or a weight increase).
@@ -267,20 +267,21 @@ fn repair_cut_mst<R: Rng + ?Sized>(
     config: &KktConfig,
     rng: &mut R,
 ) -> Result<DeleteOutcome, CoreError> {
-    match find_min(net, root, config, rng)? {
-        FindMinOutcome::NoLeavingEdge | FindMinOutcome::BudgetExhausted => {
-            Ok(DeleteOutcome::Bridge)
-        }
-        FindMinOutcome::Found(found) => {
-            // Announce the replacement through the initiator's tree and
-            // forward it across the new edge (one extra message), then mark.
-            announce(net, root, found.edge_number.as_u128())?;
-            net.cost_mut()
-                .record_message_in(Phase::Announce, found.edge_number.as_u128().bit_size() as u64);
-            net.mark(found.edge);
-            Ok(DeleteOutcome::Replaced(found))
-        }
+    match find_min(net, root, config, rng)?.edge() {
+        Some(found) => replace(net, root, found),
+        None => Ok(DeleteOutcome::Bridge),
     }
+}
+
+/// Mends a cut with the replacement `found` that `root` learned: announce it
+/// through the initiator's tree, forward it across the new edge (one extra
+/// message), then mark it.
+fn replace(net: &mut Network, root: NodeId, found: FoundEdge) -> Result<DeleteOutcome, CoreError> {
+    let number = found.edge_number.as_u128();
+    announce(net, root, number)?;
+    net.cost_mut().record_message_in(Phase::Announce, number.bit_size() as u64);
+    net.mark(found.edge);
+    Ok(DeleteOutcome::Replaced(found))
 }
 
 /// Processes the insertion of edge `{u, v}` with weight `weight` into a
@@ -403,14 +404,8 @@ pub fn delete_edge_st<R: Rng + ?Sized>(
     }
     let root = initiator(net, u, v);
     match find_any(net, root, config, rng)? {
+        Some(found) => replace(net, root, found),
         None => Ok(DeleteOutcome::Bridge),
-        Some(found) => {
-            announce(net, root, found.edge_number.as_u128())?;
-            net.cost_mut()
-                .record_message_in(Phase::Announce, found.edge_number.as_u128().bit_size() as u64);
-            net.mark(found.edge);
-            Ok(DeleteOutcome::Replaced(found))
-        }
     }
 }
 
